@@ -13,7 +13,7 @@ request path).
 
 import numpy as np
 
-from repro.config import SCALE_FACTOR, PageSize, default_machine
+from repro.config import SCALE_FACTOR, default_machine
 from repro.core.trident import TridentPolicy
 from repro.sim.system import System
 from repro.workloads.registry import get_workload
@@ -28,6 +28,7 @@ def main() -> None:
     regions = int(workload.footprint_bytes * 1.6) // default_machine(1).geometry.large_size
     system = System(default_machine(regions), TridentPolicy, seed=1)
     process = system.create_process("redis")
+    large, mid = system.geometry.top_level, system.geometry.thp_level
 
     class API:
         rng = np.random.default_rng(1)
@@ -49,8 +50,8 @@ def main() -> None:
     workload.setup(api)
     mapped = system.mapped_bytes_by_size(process)
     print(
-        f"after inserts:   1GB-mapped {gb(mapped[PageSize.LARGE]):6.1f} GB   "
-        f"2MB-mapped {gb(mapped[PageSize.MID]):6.1f} GB   "
+        f"after inserts:   1GB-mapped {gb(mapped[large]):6.1f} GB   "
+        f"2MB-mapped {gb(mapped[mid]):6.1f} GB   "
         f"(faults alone cannot use 1GB pages here)"
     )
 
@@ -66,15 +67,15 @@ def main() -> None:
         mapped = system.mapped_bytes_by_size(process)
         cpa = (stats.translation_cycles - c0) / max(stats.accesses - w0, 1)
         print(
-            f"  step {step}: 1GB {gb(mapped[PageSize.LARGE]):6.1f} GB | "
-            f"2MB {gb(mapped[PageSize.MID]):6.1f} GB | "
+            f"  step {step}: 1GB {gb(mapped[large]):6.1f} GB | "
+            f"2MB {gb(mapped[mid]):6.1f} GB | "
             f"translation {cpa:6.1f} cyc/access"
         )
 
     promoted = system.policy.stats.promoted
     print(
-        f"\npromotions: {promoted[PageSize.LARGE]} to 1GB-class, "
-        f"{promoted[PageSize.MID]} to 2MB-class; "
+        f"\npromotions: {promoted[large]} to 1GB-class, "
+        f"{promoted[mid]} to 2MB-class; "
         f"copy traffic {system.policy.stats.promo_copy_bytes >> 20} MB"
     )
 

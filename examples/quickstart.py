@@ -7,7 +7,6 @@ counters — the same path every figure in the evaluation uses.
     python examples/quickstart.py
 """
 
-from repro.config import PageSize
 from repro.experiments.runner import NativeRunner, RunConfig
 
 
@@ -19,6 +18,7 @@ def main() -> None:
             RunConfig(workload="GUPS", policy=policy, n_accesses=60_000)
         )
         results[policy] = runner.run()
+    geometry = runner.system.geometry
 
     base = results["4KB"]
     print()
@@ -29,9 +29,9 @@ def main() -> None:
         print(
             f"{policy:12s} {m.walk_cycle_fraction:16.3f} "
             f"{m.speedup_over(base):12.2f} "
-            f"{mapped[PageSize.LARGE] >> 20:9d}M "
-            f"{mapped[PageSize.MID] >> 20:9d}M "
-            f"{mapped[PageSize.BASE] >> 20:7d}M"
+            f"{mapped[geometry.top_level] >> 20:9d}M "
+            f"{mapped[geometry.thp_level] >> 20:9d}M "
+            f"{mapped[0] >> 20:7d}M"
         )
 
     trident, thp = results["Trident"], results["2MB-THP"]

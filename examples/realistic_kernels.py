@@ -11,7 +11,7 @@ the statistical stand-ins, under 4KB and under Trident-style 1GB mappings.
 
 import numpy as np
 
-from repro.config import SCALED_GEOMETRY, SCALED_TLB, PageSize, WalkConfig
+from repro.config import SCALED_GEOMETRY, SCALED_TLB, WalkConfig
 from repro.tlb.hierarchy import TLBHierarchy
 from repro.vm.pagetable import PageTable
 from repro.workloads import access
@@ -64,8 +64,8 @@ def main() -> None:
 
     print(f"{'stream':34s} {'4KB miss':>9s} {'4KB cyc':>8s} {'1GB miss':>9s} {'1GB cyc':>8s}")
     for name, stream in streams.items():
-        m4, c4 = measure(stream, PageSize.BASE)
-        m1, c1 = measure(stream, PageSize.LARGE)
+        m4, c4 = measure(stream, 0)
+        m1, c1 = measure(stream, GEOM.top_level)
         print(f"{name:34s} {m4:9.3f} {c4:8.1f} {m1:9.3f} {c1:8.1f}")
 
     print(

@@ -10,9 +10,6 @@ through a batched hypercall instead of copying 2MB chunks.
     python examples/virtualized_pv.py
 """
 
-import numpy as np
-
-from repro.config import PageSize
 from repro.experiments.runner import VirtRunConfig, VirtRunner
 
 
@@ -32,7 +29,7 @@ def run(label: str, pv: bool):
     guest = runner.vm.guest
     mapped = metrics.mapped_bytes_by_size
     print(
-        f"{label:12s} 1GB-mapped={mapped[PageSize.LARGE] >> 20:4d}M  "
+        f"{label:12s} 1GB-mapped={mapped[guest.geometry.top_level] >> 20:4d}M  "
         f"walk-frac={metrics.walk_cycle_fraction:.3f}  "
         f"daemon={metrics.daemon_ns / 1e6:8.1f} ms"
     )

@@ -6,7 +6,7 @@ Public API tour
 
 Configuration::
 
-    from repro import PageGeometry, PageSize, MachineConfig, default_machine
+    from repro import PageGeometry, MachineConfig, default_machine
 
 Build a system and run a workload::
 
@@ -36,7 +36,6 @@ from repro.config import (
     CostModel,
     MachineConfig,
     PageGeometry,
-    PageSize,
     TLBConfig,
     TLBHierarchyConfig,
     WalkConfig,
@@ -56,7 +55,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "PageGeometry",
-    "PageSize",
     "MachineConfig",
     "CostModel",
     "WalkConfig",

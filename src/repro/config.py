@@ -23,16 +23,13 @@ memory by the same factor; every claim in the paper is about ratios
 scaling preserves.
 
 Page sizes are identified by their **level index**: 0 is the base page,
-``n_levels - 1`` the largest declared level.  For three-tier geometries
-the indices coincide with the historical ``PageSize.BASE/MID/LARGE``
-constants (0/1/2), which survive only as a deprecated shim (see
-:class:`PageSize`).
+``n_levels - 1`` the largest declared level.  Code names a level through
+the run's geometry (``0``, ``geometry.thp_level``, ``geometry.top_level``,
+``geometry.all_levels``), never through a process-wide constant.
 """
 
 from __future__ import annotations
 
-import sys
-import warnings
 from dataclasses import dataclass, field, replace
 
 
@@ -343,108 +340,6 @@ SCALE_FACTOR = X86_GEOMETRY.large_size // SCALED_GEOMETRY.large_size
 #: Core clock of the paper's Skylake testbed (Xeon Gold 5118, 2.3 GHz);
 #: converts translation cycles into nanoseconds on the simulated-time axis.
 FREQ_GHZ = 2.3
-
-
-# -- deprecated three-tier shim -----------------------------------------
-
-_ACTIVE_GEOMETRY: PageGeometry = SCALED_GEOMETRY
-
-
-def set_active_geometry(geometry: PageGeometry) -> None:
-    """Record the geometry the most recent System was built with.
-
-    Only the deprecated :class:`PageSize` shim reads this — migrated code
-    threads the geometry object explicitly.
-    """
-    global _ACTIVE_GEOMETRY
-    _ACTIVE_GEOMETRY = geometry
-
-
-def active_geometry() -> PageGeometry:
-    return _ACTIVE_GEOMETRY
-
-
-_PAGESIZE_MSG = (
-    "PageSize.{attr} is deprecated; page sizes are level indices of the "
-    "run's PageGeometry — use geometry.all_levels / geometry.top_level / "
-    "geometry.name_of / geometry.label_for instead (lint rule TRD003)"
-)
-
-
-class _PageSizeMeta(type):
-    """Metaclass turning ``PageSize.X`` class-attribute reads into
-    deprecation warnings resolved against the active geometry.
-
-    Mirrors the ``TouchResult`` raw-float shim: one warning per call
-    site (never per access), attributed to the consumer via stacklevel.
-    """
-
-    #: call sites (filename, lineno) that already warned
-    _warned_sites: set[tuple[str, int]] = set()
-
-    def _warn(cls, attr: str) -> None:
-        frame = sys._getframe(2)  # _warn <- property fget <- consumer
-        site = (frame.f_code.co_filename, frame.f_lineno)
-        if site in _PageSizeMeta._warned_sites:
-            return
-        _PageSizeMeta._warned_sites.add(site)
-        warnings.warn(
-            _PAGESIZE_MSG.format(attr=attr), DeprecationWarning, stacklevel=3
-        )
-
-    @property
-    def BASE(cls) -> int:
-        cls._warn("BASE")
-        return 0
-
-    @property
-    def MID(cls) -> int:
-        cls._warn("MID")
-        return 1
-
-    @property
-    def LARGE(cls) -> int:
-        cls._warn("LARGE")
-        return active_geometry().top_level
-
-    @property
-    def ALL(cls) -> tuple[int, ...]:
-        cls._warn("ALL")
-        return active_geometry().all_levels
-
-    @property
-    def NAMES(cls) -> dict[int, str]:
-        cls._warn("NAMES")
-        geo = active_geometry()
-        return {i: geo.name_of(i) for i in geo.all_levels}
-
-    @property
-    def X86_NAMES(cls) -> dict[int, str]:
-        cls._warn("X86_NAMES")
-        geo = active_geometry()
-        return {i: geo.label_for(i) for i in geo.all_levels}
-
-
-class PageSize(metaclass=_PageSizeMeta):
-    """Deprecated three-tier page-size aliases.
-
-    Page sizes are now plain level indices of the run's
-    :class:`PageGeometry`; ``BASE``/``MID``/``LARGE`` resolve to
-    0 / 1 / ``top_level`` of the *active* geometry so downstream scripts
-    keep working for one release.  Every attribute read emits one
-    :class:`DeprecationWarning` per call site (mirroring the
-    ``TouchResult`` shim).
-    """
-
-    @classmethod
-    def name_of(cls, size: int) -> str:
-        type(cls)._warn(cls, "name_of")
-        return active_geometry().name_of(size)
-
-    @classmethod
-    def reset_warned_sites(cls) -> None:
-        """Forget which call sites warned (test isolation hook)."""
-        _PageSizeMeta._warned_sites.clear()
 
 
 @dataclass(frozen=True)

@@ -221,11 +221,23 @@ def resolve_geometry(name_or_path: str) -> GeometryPreset:
     )
 
 
-def _tlb_config(obj: dict, where: str) -> TLBConfig:
+def _tlb_config(obj: object, where: str) -> TLBConfig:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object")
     try:
         return TLBConfig(int(obj["entries"]), int(obj["ways"]))
     except KeyError as e:
         raise ValueError(f"{where}: TLB config needs 'entries' and 'ways'") from e
+
+
+def _object_or_empty(spec: dict, key: str) -> dict:
+    """``spec[key]`` when it is a JSON object, ``{}`` when absent/null."""
+    value = spec.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError(f"{key!r} must be an object")
+    return value
 
 
 def geometry_from_dict(spec: dict, *, name: str = "") -> GeometryPreset:
@@ -243,9 +255,10 @@ def geometry_from_dict(spec: dict, *, name: str = "") -> GeometryPreset:
     raw_levels = spec["levels"]
     if not isinstance(raw_levels, list) or len(raw_levels) < 2:
         raise ValueError("'levels' must be a list of at least two levels")
+    raw_groups = _object_or_empty(spec, "l2_groups")
     groups = tuple(
         (str(gname), _tlb_config(gcfg, f"l2_groups[{gname}]"))
-        for gname, gcfg in (spec.get("l2_groups") or {}).items()
+        for gname, gcfg in raw_groups.items()
     )
     levels = []
     for i, raw in enumerate(raw_levels):
@@ -288,7 +301,7 @@ def geometry_from_dict(spec: dict, *, name: str = "") -> GeometryPreset:
         l2_groups=groups,
         name=str(spec.get("name", name)),
     )
-    walk_spec = spec.get("walk") or {}
+    walk_spec = _object_or_empty(spec, "walk")
     walk = WalkConfig(
         levels_base=int(walk_spec.get("levels_base", 4)),
         mem_access_cycles=int(walk_spec.get("mem_access_cycles", 160)),

@@ -1,4 +1,4 @@
-"""The project rule catalogue: TRD001 — TRD005.
+"""The single-module rule catalogue: TRD001 — TRD004.
 
 Each rule encodes one load-bearing convention of this reproduction (see
 ``docs/linting.md`` for the rationale and examples):
@@ -9,8 +9,6 @@ Each rule encodes one load-bearing convention of this reproduction (see
   integral and uses the named geometry constants from ``config.py``.
 * **TRD004** — every emitted metric name is declared in the obs catalog,
   and the catalog stays free of near-duplicate names.
-* **TRD005** — ``touch()`` results are consumed through the typed
-  ``TouchResult`` fields, not as bare floats via the deprecation shim.
 """
 
 from __future__ import annotations
@@ -309,7 +307,7 @@ class ExperimentProtocol(Rule):
 
 
 class FrameArithmetic(Rule):
-    """TRD003: frame/order arithmetic hygiene and three-tier hygiene.
+    """TRD003: frame/order arithmetic hygiene and magic geometry numbers.
 
     Frame counts, PFNs and orders are exact integers; a single true
     division silently floats an entire downstream computation (the zero-fill
@@ -319,33 +317,31 @@ class FrameArithmetic(Rule):
     interchangeable.
 
     Since the N-level :class:`~repro.config.PageGeometry` redesign, the
-    rule additionally polices the three-tier assumption itself, across the
-    whole ``repro`` package (``config.py`` excepted, where the shim lives):
-    reads of the deprecated ``PageSize.BASE/MID/LARGE`` aliases, and magic
-    x86 order literals (``1 << 9``-style shifts), both of which silently
-    pin code to a geometry shape that SVNAPOT and ARM granule configs do
-    not have.  Pre-existing findings ratchet via ``lint-baseline.json``.
+    rule additionally flags magic x86 order literals (``1 << 9``-style
+    shifts) across the whole ``repro`` package (``config.py`` excepted,
+    since it defines the geometry): they silently pin code to a geometry
+    shape that SVNAPOT and ARM granule configs do not have.  Pre-existing
+    findings ratchet via ``lint-baseline.json``.
     """
 
     code = "TRD003"
     name = "frame-arithmetic"
     description = (
         "no float creep into frame/order arithmetic; no magic geometry "
-        "numbers or deprecated three-tier PageSize aliases"
+        "numbers"
     )
     rationale = (
         "Frame counts, PFNs and orders are exact integers; one true "
         "division floats everything downstream (the PR 1 zero-fill "
         "accounting bug started exactly this way). Geometry numbers "
         "(512 frames per 2MB, order 9/18, the 256x scale) must come "
-        "from the active geometry so scaled, full, and N-level "
-        "geometries interchange. PageSize.BASE/MID/LARGE reads go "
-        "through a deprecation shim that hardcodes the three-tier "
-        "shape; 4-level SVNAPOT configs break such call sites."
+        "from the run's geometry so scaled, full, and N-level "
+        "geometries interchange; a 1 << 9 shift breaks on 4-level "
+        "SVNAPOT configs."
     )
     example_bad = (
         "mid_frames = frames / 512        # float, magic number\n"
-        "mapped = by_size[PageSize.MID]   # deprecated three-tier alias\n"
+        "mapped = by_size[1]              # magic page-size index\n"
     )
     example_good = (
         "mid_frames = frames // geometry.frames_for(geometry.thp_level)\n"
@@ -355,7 +351,7 @@ class FrameArithmetic(Rule):
     SCOPES = ("repro/mem/", "repro/experiments/")
     #: identifier fragments that mark a value as frame/order-typed
     FRAMEISH = frozenset({"frame", "frames", "pfn", "pfns", "order", "orders"})
-    #: geometry literals that must be spelled via the active PageGeometry
+    #: geometry literals that must be spelled via the run's PageGeometry
     MAGIC_GEOMETRY = {
         9: "geometry.order_for(geometry.thp_level)",
         18: "geometry.order_for(geometry.top_level)",
@@ -363,13 +359,8 @@ class FrameArithmetic(Rule):
         262144: "geometry.frames_per_large",
     }
     SCALE = 256  # config.SCALE_FACTOR
-    #: deprecated three-tier aliases served by the config.PageSize shim;
-    #: each read warns at runtime — lint catches them statically
-    DEPRECATED_PAGESIZE = frozenset(
-        {"BASE", "MID", "LARGE", "ALL", "NAMES", "X86_NAMES"}
-    )
-    #: the shim's home (and the only place allowed to spell it)
-    SHIM_HOME = "repro/config.py"
+    #: defines the geometry, so it is the one module allowed to spell it
+    GEOMETRY_HOME = "repro/config.py"
 
     def check(self, ctx: LintContext) -> list[Finding]:
         findings: list[Finding] = []
@@ -377,44 +368,26 @@ class FrameArithmetic(Rule):
             for module in ctx.under(scope):
                 findings.extend(self._check_module(module))
         for module in ctx.under("repro/"):
-            if module.package_path == self.SHIM_HOME:
+            if module.package_path == self.GEOMETRY_HOME:
                 continue
-            findings.extend(self._check_three_tier(module))
+            findings.extend(self._check_shifts_package_wide(module))
         return findings
 
-    def _check_three_tier(self, module: SourceModule) -> Iterator[Finding]:
-        """Package-wide three-tier hygiene (outside mem/ + experiments/).
+    def _check_shifts_package_wide(
+        self, module: SourceModule
+    ) -> Iterator[Finding]:
+        """Magic order shifts outside mem/ + experiments/.
 
-        PageSize alias reads are flagged everywhere; magic order shifts
-        are flagged here only for modules the frame-arithmetic scope does
-        not already cover, so each site reports once.
+        Modules the frame-arithmetic scope already covers are skipped, so
+        each site reports once.
         """
-        in_scope = any(module.package_path.startswith(s) for s in self.SCOPES)
+        if any(module.package_path.startswith(s) for s in self.SCOPES):
+            return
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.Attribute):
-                yield from self._check_pagesize_alias(module, node)
-            elif (
-                not in_scope
-                and isinstance(node, ast.BinOp)
-                and isinstance(node.op, (ast.LShift, ast.RShift))
+            if isinstance(node, ast.BinOp) and isinstance(
+                node.op, (ast.LShift, ast.RShift)
             ):
                 yield from self._check_shift(module, node)
-
-    def _check_pagesize_alias(
-        self, module: SourceModule, node: ast.Attribute
-    ) -> Iterator[Finding]:
-        if node.attr not in self.DEPRECATED_PAGESIZE:
-            return
-        parts = _dotted(node).split(".")
-        if len(parts) >= 2 and parts[-2] == "PageSize":
-            yield self.finding(
-                module,
-                node.lineno,
-                f"deprecated PageSize.{node.attr} resolves through the "
-                "three-tier runtime shim; use the active geometry's level "
-                "indices instead (0, geometry.thp_level, "
-                "geometry.top_level, geometry.all_levels)",
-            )
 
     def _check_module(self, module: SourceModule) -> Iterator[Finding]:
         container_lines = self._container_literal_ids(module.tree)
@@ -496,7 +469,7 @@ class FrameArithmetic(Rule):
                     f"order; use {hint}",
                 )
         # page-size table lookups: `...by_size[2]` / `...by_size.get(2)`
-        # hard-code the PageSize encoding
+        # hard-code one geometry's level numbering
         if (
             isinstance(node.func, ast.Attribute)
             and node.func.attr == "get"
@@ -779,83 +752,6 @@ class MetricRegistryHygiene(Rule):
         return "<catalog>", catalog.get(name, 1)
 
 
-class TouchResultContract(Rule):
-    """TRD005: typed touch results are consumed through their fields.
-
-    ``System.touch`` returns a :class:`repro.sim.batch.TouchResult` —
-    a ``float`` subclass carrying ``cycles``, ``faulted`` and
-    ``page_size``.  The float inheritance is a deprecation shim: bare
-    arithmetic on the result keeps working today but silently reads
-    "translation cycles" with no record of which field the call site
-    meant, and breaks outright when the shim is dropped.  New code reads
-    the named fields; this rule flags raw-float consumption of a
-    ``.touch(...)`` call (arithmetic, comparisons, numeric coercion).
-    """
-
-    code = "TRD005"
-    name = "touch-result-contract"
-    description = (
-        "touch() results are read via .cycles/.faulted/.page_size, "
-        "not as bare floats"
-    )
-    rationale = (
-        "System.touch returns a TouchResult whose float inheritance is "
-        "a deprecation shim. Bare arithmetic on it compiles today but "
-        "records nothing about which field the call site meant, and "
-        "breaks outright when the shim is dropped."
-    )
-    example_bad = "total += system.touch(process, va) * 2\n"
-    example_good = "total += system.touch(process, va).cycles * 2\n"
-
-    _COERCIONS = frozenset({"float", "int", "round", "sum", "min", "max"})
-
-    def check(self, ctx: LintContext) -> list[Finding]:
-        findings: list[Finding] = []
-        for module in ctx.modules:
-            for node in ast.walk(module.tree):
-                findings.extend(self._check_node(module, node))
-        return findings
-
-    @staticmethod
-    def _is_touch_call(node: ast.AST) -> bool:
-        # ``<obj>.touch(process, va)`` — two-plus positional arguments
-        # distinguishes the System/GuestSystem access API from the
-        # single-argument ``WorkloadAPI.touch(addresses)`` batch helper,
-        # which returns None and has no cycles to misread.
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "touch"
-            and len(node.args) >= 2
-        )
-
-    def _check_node(
-        self, module: SourceModule, node: ast.AST
-    ) -> Iterator[Finding]:
-        operands: list[ast.AST] = []
-        if isinstance(node, ast.BinOp):
-            operands = [node.left, node.right]
-        elif isinstance(node, ast.AugAssign):
-            operands = [node.value]
-        elif isinstance(node, ast.UnaryOp):
-            operands = [node.operand]
-        elif isinstance(node, ast.Compare):
-            operands = [node.left, *node.comparators]
-        elif isinstance(node, ast.Call):
-            dotted = _dotted(node.func)
-            if dotted in self._COERCIONS:
-                operands = list(node.args)
-        for operand in operands:
-            if self._is_touch_call(operand):
-                yield self.finding(
-                    module,
-                    operand.lineno,
-                    "raw-float use of a touch() result; TouchResult is "
-                    "typed — read .cycles (or .faulted / .page_size) "
-                    "instead of relying on the float deprecation shim",
-                )
-
-
 # The cross-module rules live in rules_cross (they need the call graph /
 # dataflow layer); imported at the bottom so they can reuse this module's
 # AST helpers without a cycle at import time.
@@ -866,6 +762,5 @@ ALL_RULES: tuple[Rule, ...] = (
     ExperimentProtocol(),
     FrameArithmetic(),
     MetricRegistryHygiene(),
-    TouchResultContract(),
     *CROSS_RULES,
 )

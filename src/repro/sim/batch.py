@@ -24,102 +24,25 @@ scalar ``touch`` loop — including float accumulation order in
 
 from __future__ import annotations
 
-import sys
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.tlb.batch import hierarchy_touch_batch
 
-_RAW_FLOAT_MSG = (
-    "TouchResult consumed as a raw float; read .cycles / .faulted / "
-    ".page_size instead (deprecation shim, lint rule TRD005)"
-)
 
-
-class TouchResult(float):
+@dataclass(frozen=True, slots=True)
+class TouchResult:
     """Typed result of one ``System.touch``.
 
-    Subclasses ``float`` (the translation cycles) as the deprecation shim:
-    legacy callers that treat the return value as a bare cycle count keep
-    working, while new code reads the typed fields.  The project linter
-    (TRD005) flags raw-float usage so call sites migrate to ``.cycles``;
-    at runtime the shim emits one :class:`DeprecationWarning` per call
-    site (never per access — a million-touch loop warns once), attributed
-    to the caller via ``stacklevel=2``.
+    * ``cycles`` — translation cycles beyond an L1 TLB hit;
+    * ``faulted`` — whether the access took a page fault first;
+    * ``page_size`` — level index of the page that served the access.
     """
 
-    __slots__ = ("faulted", "page_size")
-
-    faulted: bool
-    page_size: int
-
-    #: call sites (filename, lineno) that already warned — per-site dedup
-    #: independent of the interpreter's warning filters, so hot loops pay
-    #: one set lookup, not a ``warnings.warn`` call per access
-    _warned_sites: set[tuple[str, int]] = set()
-
-    def __new__(
-        cls, cycles: float, faulted: bool = False, page_size: int = 0
-    ) -> "TouchResult":
-        self = super().__new__(cls, cycles)
-        self.faulted = faulted
-        self.page_size = page_size
-        return self
-
-    @classmethod
-    def reset_warned_sites(cls) -> None:
-        """Forget which call sites warned (test isolation hook)."""
-        cls._warned_sites.clear()
-
-    def _first_use_at_site(self) -> bool:
-        """True when the raw-float caller two frames up has not warned yet."""
-        frame = sys._getframe(2)
-        site = (frame.f_code.co_filename, frame.f_lineno)
-        if site in TouchResult._warned_sites:
-            return False
-        TouchResult._warned_sites.add(site)
-        return True
-
-    @property
-    def cycles(self) -> float:
-        """Translation cycles beyond an L1 TLB hit."""
-        return float.__float__(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TouchResult(cycles={float.__float__(self)!r}, "
-            f"faulted={self.faulted}, "
-            f"page_size={self.page_size})"
-        )
-
-
-def _raw_float_shim(opname: str):
-    """A float operator that warns once per call site before delegating."""
-    float_op = getattr(float, opname)
-
-    def shim(self, *args):
-        if self._first_use_at_site():
-            warnings.warn(_RAW_FLOAT_MSG, DeprecationWarning, stacklevel=2)
-        return float_op(self, *args)
-
-    shim.__name__ = opname
-    shim.__qualname__ = f"TouchResult.{opname}"
-    shim.__doc__ = float_op.__doc__
-    return shim
-
-
-#: the raw-float surface covered by the shim: numeric coercion and
-#: arithmetic.  Comparisons and hashing stay silent — they are how dicts
-#: and test assertions handle any value and would drown the signal.
-for _opname in (
-    "__float__", "__int__", "__add__", "__radd__", "__sub__", "__rsub__",
-    "__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__neg__",
-    "__abs__",
-):
-    setattr(TouchResult, _opname, _raw_float_shim(_opname))
-del _opname
+    cycles: float
+    faulted: bool = False
+    page_size: int = 0
 
 
 @dataclass
@@ -138,9 +61,7 @@ class BatchResult:
     walks: int = 0
     faults: int = 0
     fault_ns: float = 0.0
-    walks_by_size: dict[int, int] = field(
-        default_factory=lambda: {s: 0 for s in range(3)}
-    )
+    walks_by_size: dict[int, int] = field(default_factory=dict)
 
     @property
     def cycles(self) -> float:

@@ -88,7 +88,7 @@ class MultiTenantMachine:
     """One shard: many tenant processes sharing one (NUMA) ``System``."""
 
     #: warn-once keys for oversubscribed shards (cleared by tests via
-    #: :meth:`reset_warned`, mirroring ``TouchResult.reset_warned_sites``)
+    #: :meth:`reset_warned`)
     _warned_keys: set = set()
 
     def __init__(

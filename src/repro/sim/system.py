@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config import FREQ_GHZ, MachineConfig, set_active_geometry
+from repro.config import FREQ_GHZ, MachineConfig
 from repro.core.compaction import NormalCompactor, SmartCompactor
 from repro.core.rmap import ReverseMap
 from repro.mem.buddy import BuddyAllocator
@@ -47,8 +47,6 @@ class System:
     ) -> None:
         self.machine = machine
         self.geometry = machine.geometry
-        # Deprecated PageSize aliases resolve against the live machine.
-        set_active_geometry(self.geometry)
         self.cost = machine.cost
         #: the machine's only RNG: a seeded generator threaded from the run
         #: config so every stochastic kernel behaviour replays byte-for-byte
@@ -325,9 +323,9 @@ class System:
     def touch(self, process: Process, va: int) -> TouchResult:
         """One application load/store; returns a typed :class:`TouchResult`.
 
-        The result subclasses ``float`` (translation cycles) for backward
-        compatibility; new code reads ``.cycles`` / ``.faulted`` /
-        ``.page_size``.  Bulk callers should use :meth:`touch_batch`.
+        The result is a frozen record: read ``.cycles`` / ``.faulted`` /
+        ``.page_size``; it is not a number.  Bulk callers should use
+        :meth:`touch_batch`.
         """
         mapping = process.pagetable.translate(va)
         faulted = mapping is None

@@ -43,9 +43,7 @@ class TranslationStats:
     walks: int = 0
     walk_cycles: float = 0.0
     translation_cycles: float = 0.0
-    walks_by_size: dict[int, int] = field(
-        default_factory=lambda: {s: 0 for s in range(3)}
-    )
+    walks_by_size: dict[int, int] = field(default_factory=dict)
 
     @classmethod
     def for_geometry(cls, geometry: PageGeometry) -> "TranslationStats":
@@ -101,11 +99,6 @@ class TLBHierarchy:
         self._l2_by_level = [
             self.l2[sections[level].l2] for level in geometry.all_levels
         ]
-        # Legacy attribute aliases; state fingerprints and the x86-era
-        # tooling address the groups by these names.
-        self.l2_shared = self.l2.get("shared")
-        self.l2_large = self.l2.get("large")
-        self.l2_mid = self.l2.get("mid")
         self.walker = PageWalker(walk)
         self.stats = TranslationStats.for_geometry(geometry)
         self._shifts = {

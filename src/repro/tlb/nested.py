@@ -45,9 +45,6 @@ class NestedTranslationUnit:
         self._l2_by_level = [
             self.l2[sections[level].l2] for level in geometry.all_levels
         ]
-        self.l2_shared = self.l2.get("shared")
-        self.l2_large = self.l2.get("large")
-        self.l2_mid = self.l2.get("mid")
         self.walker = PageWalker(walk)
         self.stats = TranslationStats.for_geometry(geometry)
         self._shifts = {

@@ -58,7 +58,11 @@ class GuestSystem(System):
         return process
 
     def touch(self, process: Process, va: int) -> TouchResult:
-        """Guest load/store: guest fault, then EPT fault, then nested TLB."""
+        """Guest load/store: guest fault, then EPT fault, then nested TLB.
+
+        Returns the same frozen :class:`TouchResult` record as
+        :meth:`System.touch`, with the nested unit's 2D-walk cycles.
+        """
         mapping = process.pagetable.translate(va)
         faulted = mapping is None
         if faulted:

@@ -142,17 +142,9 @@ class TestTRD003FrameArithmetic:
             tmp_path, "repro/tlb/m.py", "half = free_frames / 2\n"
         ) == []
 
-    def test_flags_deprecated_pagesize_alias_anywhere(self, tmp_path):
-        src = "mapped = by_size[PageSize.MID]\n"
-        assert _rules(tmp_path, "repro/tlb/m.py", src) == ["TRD003"]
-
-    def test_flags_dotted_pagesize_alias(self, tmp_path):
-        src = "import repro.config as config\nx = config.PageSize.LARGE\n"
-        assert _rules(tmp_path, "repro/core/m.py", src) == ["TRD003"]
-
-    def test_pagesize_shim_home_exempt(self, tmp_path):
-        src = "x = PageSize.ALL\n"
-        assert _rules(tmp_path, "repro/config.py", src) == []
+    def test_geometry_home_exempt(self, tmp_path):
+        # config.py defines the geometry, so it may spell its orders
+        assert _rules(tmp_path, "repro/config.py", "x = 1 << 18\n") == []
 
     def test_non_pagesize_attribute_not_flagged(self, tmp_path):
         src = "names = geometry.NAMES if hasattr(geometry, 'NAMES') else ()\n"
@@ -319,56 +311,17 @@ class TestTRD004TelemetryMetrics:
         assert any("alert_pages_total" in f.message for f in findings)
 
 
-class TestTRD005TouchResultContract:
-    """touch() results are typed (TouchResult); raw-float use is flagged."""
+class TestRetiredTRD005:
+    """TRD005 (the touch-result contract) was retired with the float
+    TouchResult; its code is not reused, so selecting it is an error."""
 
-    def test_accepts_typed_field_reads(self, tmp_path):
-        src = (
-            "res = system.touch(process, va)\n"
-            "total += res.cycles\n"
-            "if res.faulted:\n"
-            "    sizes.append(res.page_size)\n"
-        )
-        assert _rules(tmp_path, "repro/sim/m.py", src) == []
+    def test_select_trd005_exits_two_and_lists_valid_codes(self, capsys):
+        from repro.cli import main
 
-    def test_flags_arithmetic_on_result(self, tmp_path):
-        src = "total = system.touch(process, va) + 1.0\n"
-        assert _rules(tmp_path, "repro/sim/m.py", src) == ["TRD005"]
-
-    def test_flags_augmented_accumulation(self, tmp_path):
-        src = "total += system.touch(process, va)\n"
-        assert _rules(tmp_path, "repro/sim/m.py", src) == ["TRD005"]
-
-    def test_flags_float_coercion(self, tmp_path):
-        src = "cycles = float(system.touch(process, va))\n"
-        assert _rules(tmp_path, "repro/sim/m.py", src) == ["TRD005"]
-
-    def test_flags_comparison(self, tmp_path):
-        src = "slow = system.touch(process, va) > 100\n"
-        assert _rules(tmp_path, "repro/sim/m.py", src) == ["TRD005"]
-
-    def test_single_arg_touch_is_not_the_system_api(self, tmp_path):
-        # WorkloadAPI.touch(addresses) returns None; one positional arg
-        # means it is not the System.touch(process, va) surface.
-        src = "api.touch(addresses)\n"
-        assert _rules(tmp_path, "repro/sim/m.py", src) == []
-
-    def test_runtime_shim_warns_once_per_site(self):
-        """The runtime side of the same contract: raw-float use the rule
-        flags statically also emits exactly one DeprecationWarning per
-        call site, however many times that site executes."""
-        import warnings
-
-        from repro.sim.batch import TouchResult
-
-        TouchResult.reset_warned_sites()
-        try:
-            res = TouchResult(3.0)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                for _ in range(50):
-                    _ = float(res)  # the fixture TRD005 flags, at runtime
-            assert len(caught) == 1
-            assert issubclass(caught[0].category, DeprecationWarning)
-        finally:
-            TouchResult.reset_warned_sites()
+        assert main(["lint", "--select", "TRD005"]) == 2
+        out = capsys.readouterr().out
+        assert "unknown rule code" in out and "TRD005" in out
+        valid = out[out.index("(valid:") :]
+        assert "TRD005" not in valid
+        for code in ("TRD001", "TRD004", "TRD006", "TRD008"):
+            assert code in valid

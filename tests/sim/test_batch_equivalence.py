@@ -11,7 +11,7 @@ daemon cadences, and fault-heavy streams.
 
 from __future__ import annotations
 
-import warnings
+import dataclasses
 
 import numpy as np
 import pytest
@@ -93,85 +93,42 @@ def test_batch_result_matches_stats_delta():
 
 
 def test_scalar_touch_returns_typed_result():
-    """touch() is now a one-access view of the same contract."""
+    """touch() is a one-access view of the same contract: a frozen record."""
     system = System(default_machine(4), Baseline4KPolicy, seed=1)
     process = system.create_process()
     base = system.sys_mmap(process, 1 << 20)
+    stats = process.tlb.stats
+    before = stats.walk_cycles
     first = system.touch(process, base)
+    after_first = stats.walk_cycles
     again = system.touch(process, base)
     assert isinstance(first, TouchResult)
     assert first.faulted and not again.faulted
-    assert first.page_size == BASE
-    # deprecation shim: the result still behaves as the bare cycle count
-    # (warning under test in TestTouchResultDeprecationShim)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        assert float(first) == first.cycles
-        assert first + 0.0 == first.cycles
+    assert first.page_size == again.page_size == BASE
+    assert first.cycles == after_first - before > 0.0  # cold walk
+    assert again.cycles == 0.0  # L1 hit
     assert isinstance(system.touch_batch(process, [base]), BatchResult)
 
 
-class TestTouchResultDeprecationShim:
-    """Raw-float consumption warns exactly once per call site (TRD005)."""
+class TestTouchResultContract:
+    """TouchResult is a frozen record, not a number."""
 
-    def setup_method(self):
-        TouchResult.reset_warned_sites()
+    def test_is_not_a_float(self):
+        system = System(default_machine(4), Baseline4KPolicy, seed=1)
+        process = system.create_process()
+        base = system.sys_mmap(process, 1 << 20)
+        with pytest.raises(TypeError):
+            float(system.touch(process, base))
+        with pytest.raises(TypeError):
+            _ = system.touch(process, base) + 0.0
 
-    def teardown_method(self):
-        TouchResult.reset_warned_sites()
-
-    def test_warns_once_per_call_site_not_per_access(self):
-        res = TouchResult(5.0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(100):
-                _ = res + 0.0  # one call site, exercised 100 times
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-        assert "TouchResult" in str(caught[0].message)
-        assert ".cycles" in str(caught[0].message)
-
-    def test_distinct_call_sites_each_warn(self):
-        res = TouchResult(5.0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _ = float(res)  # site 1
-            _ = res * 2.0  # site 2
-        assert len(caught) == 2
-
-    def test_warning_attributed_to_caller(self):
-        """stacklevel=2 points the warning at the consuming line, not at
-        the shim's own frame inside sim/batch.py."""
-        res = TouchResult(5.0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _ = res - 1.0
-        assert caught[0].filename == __file__
-
-    def test_typed_reads_never_warn(self):
+    def test_fields_are_frozen(self):
         res = TouchResult(7.0, faulted=True, page_size=LARGE)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert res.cycles == 7.0
-            assert res.faulted and res.page_size == LARGE
-            repr(res)
-            assert res == 7.0  # comparisons stay silent by design
-            _ = {res: "hashable"}
-        assert caught == []
-
-    def test_reset_allows_site_to_warn_again(self):
-        res = TouchResult(5.0)
-
-        def consume():
-            return res + 1.0
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            consume()
-            consume()
-            TouchResult.reset_warned_sites()
-            consume()
-        assert len(caught) == 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.cycles = 0.0  # type: ignore[misc]
+        assert (res.cycles, res.faulted, res.page_size) == (7.0, True, LARGE)
+        assert res == TouchResult(7.0, True, LARGE)
+        assert TouchResult(3.0) == TouchResult(3.0, faulted=False, page_size=BASE)
 
 
 def test_touch_batch_accepts_plain_lists_and_empty():

@@ -27,8 +27,7 @@ QUICK = dict(
 
 @pytest.fixture(autouse=True)
 def clean_warn_state():
-    """Warn-once state is class-level: isolate it per test (the same
-    clean-state contract TouchResult.reset_warned_sites gives TRD005)."""
+    """Warn-once state is class-level: isolate it per test."""
     MultiTenantMachine.reset_warned()
     yield
     MultiTenantMachine.reset_warned()

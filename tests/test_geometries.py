@@ -1,30 +1,28 @@
-"""Geometry presets, random N-level geometries, and the PageSize shim.
+"""Geometry presets, random N-level geometries, and per-machine levels.
 
 The N-level :class:`~repro.config.PageGeometry` redesign claims that no
 derived quantity depends on there being exactly three tiers.  These tests
 pin that down three ways: the built-in presets boot and run end-to-end,
 randomly generated valid geometries satisfy the arithmetic invariants the
-rest of the simulator leans on, and the deprecated ``PageSize`` aliases
-resolve against the active geometry while warning once per call site
-(mirroring the ``TouchResult`` shim, lint rule TRD003).
+rest of the simulator leans on, and page-size levels are always read from
+a machine's own geometry — there is no process-wide alias a later machine
+could repoint.
 """
 
-import warnings
+import json
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.cli import main
 from repro.config import (
-    SCALED_GEOMETRY,
     PageGeometry,
     PageLevel,
-    PageSize,
     TLBConfig,
     TLBSection,
     default_machine,
-    set_active_geometry,
 )
 from repro.geometries import (
     GEOMETRY_PRESETS,
@@ -224,59 +222,47 @@ class TestGeometryFromDict:
         with pytest.raises(ValueError, match=match):
             geometry_from_dict(spec)
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (
+                lambda s: s["levels"][0].update(l1=[16, 4]),
+                "levels[0].l1 must be an object",
+            ),
+            (lambda s: s.update(l2_groups=[1, 2]), "'l2_groups' must be an object"),
+            (lambda s: s.update(walk=[1]), "'walk' must be an object"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_object_values_exit_two_with_one_line(
+        self, mutate, message, command, tmp_path, capsys
+    ):
+        import copy
 
-class TestPageSizeDeprecationShim:
-    """PageSize aliases warn once per call site and track the live geometry."""
+        spec = copy.deepcopy(self.SPEC)
+        mutate(spec)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        if command == "validate":
+            argv = ["geometry", "validate", str(path)]
+        else:
+            argv = ["run", "GUPS", "Trident", "--geometry", str(path)]
+        assert main(argv) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1
+        assert out[0].startswith("error: ") and message in out[0]
 
-    def setup_method(self):
-        PageSize.reset_warned_sites()
-        set_active_geometry(SCALED_GEOMETRY)
 
-    def teardown_method(self):
-        PageSize.reset_warned_sites()
-        set_active_geometry(SCALED_GEOMETRY)
+def test_each_machine_reads_its_own_top_level():
+    """Building a second machine never repoints the first one's levels."""
+    import repro.config
+    from repro.core.trident import TridentPolicy
+    from repro.sim.system import System
 
-    def test_warns_once_per_call_site_not_per_read(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(100):
-                assert PageSize.MID == 1  # one call site, read 100 times
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-        assert "PageSize.MID is deprecated" in str(caught[0].message)
-        assert "TRD003" in str(caught[0].message)
-
-    def test_distinct_call_sites_each_warn(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _ = PageSize.BASE  # site 1
-            _ = PageSize.LARGE  # site 2
-        assert len(caught) == 2
-
-    def test_warning_attributed_to_caller(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _ = PageSize.ALL
-        assert caught[0].filename == __file__
-
-    def test_aliases_resolve_against_active_geometry(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert (PageSize.BASE, PageSize.MID, PageSize.LARGE) == (0, 1, 2)
-            assert PageSize.ALL == (0, 1, 2)
-            assert PageSize.X86_NAMES == {0: "4KB", 1: "2MB", 2: "1GB"}
-            set_active_geometry(GEOMETRY_PRESETS["sv-napot"].geometry)
-            assert PageSize.LARGE == 3
-            assert PageSize.ALL == (0, 1, 2, 3)
-            assert PageSize.NAMES[1] == "napot"
-
-    def test_system_boot_sets_active_geometry(self):
-        from repro.core.baseline4k import Baseline4KPolicy
-        from repro.sim.system import System
-
-        preset = GEOMETRY_PRESETS["arm16k"]
-        System(preset.machine(4), Baseline4KPolicy, seed=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert PageSize.ALL == (0, 1, 2)
-            assert PageSize.X86_NAMES[0] == "16KB"
+    napot = System(GEOMETRY_PRESETS["sv-napot"].machine(4), TridentPolicy, seed=1)
+    assert napot.geometry.top_level == 3
+    x86 = System(GEOMETRY_PRESETS["x86"].machine(4), TridentPolicy, seed=1)
+    assert x86.geometry.top_level == 2
+    assert napot.geometry.top_level == 3
+    assert not hasattr(repro.config, "PageSize")
+    assert not hasattr(repro.config, "set_active_geometry")
