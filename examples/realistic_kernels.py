@@ -11,7 +11,7 @@ the statistical stand-ins, under 4KB and under Trident-style 1GB mappings.
 
 import numpy as np
 
-from repro.config import SCALED_GEOMETRY, SCALED_TLB, WalkConfig
+from repro.config import SCALED_GEOMETRY, WalkConfig
 from repro.tlb.hierarchy import TLBHierarchy
 from repro.vm.pagetable import PageTable
 from repro.workloads import access
@@ -29,7 +29,7 @@ def measure(stream: np.ndarray, page_size: int) -> tuple[float, float]:
     step = GEOM.bytes_for(page_size)
     for va in range(BASE_VA, BASE_VA + FOOTPRINT, step):
         table.map_page(va, page_size, (va - BASE_VA) // GEOM.base_size)
-    tlb = TLBHierarchy(SCALED_TLB, WalkConfig(), GEOM)
+    tlb = TLBHierarchy(WalkConfig(), GEOM)
     for va in stream:
         tlb.access(int(va), table.translate(int(va)))
     stats = tlb.stats

@@ -37,7 +37,7 @@ from repro.config import (
     MachineConfig,
     PageGeometry,
     TLBConfig,
-    TLBHierarchyConfig,
+    TLBSection,
     WalkConfig,
     default_machine,
 )
@@ -59,7 +59,7 @@ __all__ = [
     "CostModel",
     "WalkConfig",
     "TLBConfig",
-    "TLBHierarchyConfig",
+    "TLBSection",
     "default_machine",
     "X86_GEOMETRY",
     "SCALED_GEOMETRY",

@@ -638,13 +638,12 @@ def _describe_preset(preset) -> None:
         f"  base shift {g.base_shift} ({1 << g.base_shift} B frames), "
         f"{g.n_levels} levels, scale factor {preset.scale_factor}x"
     )
-    sections, groups = preset.tlb.resolved(g)
     walk = preset.walk.for_geometry(g)
     print(
         f"  {'LVL':3s} {'NAME':8s} {'LABEL':6s} {'ORDER':5s} {'BYTES':>12s} "
         f"{'FLAGS':12s} {'L1':>8s} {'L2':8s} {'WALK':4s} {'PWC':5s}"
     )
-    for level, (lvl, section) in enumerate(zip(g.levels, sections)):
+    for level, lvl in enumerate(g.levels):
         flags = []
         if lvl.promotable:
             flags.append("promo")
@@ -652,15 +651,15 @@ def _describe_preset(preset) -> None:
             flags.append("thp")
         if level == g.top_level:
             flags.append("top")
-        l1 = f"{section.l1.entries}x{section.l1.ways}"
+        l1 = f"{lvl.tlb.l1.entries}x{lvl.tlb.l1.ways}"
         print(
             f"  {level:3d} {lvl.name:8s} {lvl.label:6s} {lvl.order:5d} "
             f"{g.bytes_for(level):12d} {','.join(flags) or '-':12s} "
-            f"{l1:>8s} {section.l2:8s} {walk.levels_for(level):4d} "
+            f"{l1:>8s} {lvl.tlb.l2:8s} {walk.levels_for(level):4d} "
             f"{walk.leaf_cached_prob(level):5.2f}"
         )
     print("  L2 groups: " + ", ".join(
-        f"{name}={cfg.entries}x{cfg.ways}" for name, cfg in groups.items()
+        f"{name}={cfg.entries}x{cfg.ways}" for name, cfg in g.l2_groups
     ))
 
 

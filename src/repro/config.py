@@ -5,13 +5,15 @@ The simulator is parameterised by a small set of dataclasses:
 * :class:`PageGeometry` — an ordered tuple of :class:`PageLevel` entries
   (N levels, smallest to largest), from which every size relation the
   paper uses (alignment, mappability, buddy orders, region counters, TLB
-  tag shifts) is derived.  The canonical instantiations are the x86-64
-  three-tier 4KB / 2MB / 1GB family, but the geometry is declarative:
+  tag shifts) is derived, plus the TLB shapes: one :class:`TLBSection`
+  per level and the named L2 groups they feed (Table 1 of the paper).
+  The canonical instantiations are the x86-64 three-tier 4KB / 2MB / 1GB
+  family, but the geometry is declarative:
   RISC-V SVNAPOT (a *four*-level 4K/64K/2M/1G ladder) and ARM 16K-granule
   configurations are expressed as data, not code (see
   :mod:`repro.geometries`).
-* :class:`MachineConfig` — physical memory size, TLB shapes (Table 1 of
-  the paper) and page-walk parameters.
+* :class:`MachineConfig` — geometry, physical memory size and page-walk
+  parameters.
 * :class:`CostModel` — the latency/bandwidth constants behind the paper's
   wall-clock claims (1GB fault 400 ms -> 2.7 ms with async zero-fill;
   copy-based 1GB promotion 600 ms vs ~500 us with a batched hypercall).
@@ -60,13 +62,12 @@ class TLBConfig:
 class TLBSection:
     """Per-level TLB section: a private L1 plus the L2 group it feeds.
 
-    ``l2`` names an entry of the geometry's ``l2_groups`` (several levels
-    may share one group, modelling Skylake's shared 4K/2M sTLB), or is
-    ``None`` for levels with no second-level coverage.
+    ``l2`` names an entry of the geometry's ``l2_groups``; several levels
+    may share one group, modelling Skylake's shared 4K/2M sTLB.
     """
 
     l1: TLBConfig
-    l2: str | None = "shared"
+    l2: str = "shared"
 
 
 @dataclass(frozen=True)
@@ -82,9 +83,9 @@ class PageLevel:
       (the base level never is).
     * ``thp_target`` — marks the level THP-class policies promote to;
       exactly one non-base level may carry it (defaults to level 1).
-    * ``tlb`` — optional per-level TLB section; when every level carries
-      one, the hierarchy is built from the geometry instead of the legacy
-      three-tier :class:`TLBHierarchyConfig` fields.
+    * ``tlb`` — the level's TLB section.  A geometry either gives every
+      level one or none; only geometries with sections can build a TLB
+      (sectionless ones serve size arithmetic alone).
     * ``levels_skipped`` — radix levels a walk for this size skips
       (``None`` means "level index", the x86 ladder: 4KB walks all 4
       levels, 2MB skips 1, 1GB skips 2).  SVNAPOT's 64KB pages are NAPOT
@@ -112,12 +113,19 @@ class PageLevel:
             raise ValueError("page level needs a label")
 
 
-def _three_tier_levels(mid_order: int, large_order: int) -> tuple[PageLevel, ...]:
-    """The canonical x86-class ladder used by the legacy constructor."""
+def _three_tier_levels(
+    mid_order: int,
+    large_order: int,
+    tlb: tuple[TLBSection, TLBSection, TLBSection] | None = None,
+) -> tuple[PageLevel, ...]:
+    """The canonical x86-class ladder, with per-level TLB sections if given."""
+    base, mid, large = tlb or (None, None, None)
     return (
-        PageLevel(name="base", label="4KB", order=0, promotable=False),
-        PageLevel(name="mid", label="2MB", order=mid_order, thp_target=True),
-        PageLevel(name="large", label="1GB", order=large_order),
+        PageLevel(name="base", label="4KB", order=0, promotable=False, tlb=base),
+        PageLevel(
+            name="mid", label="2MB", order=mid_order, thp_target=True, tlb=mid
+        ),
+        PageLevel(name="large", label="1GB", order=large_order, tlb=large),
     )
 
 
@@ -127,9 +135,10 @@ class PageGeometry:
 
     Two construction styles:
 
-    * legacy three-tier: ``PageGeometry(base_shift, mid_order,
-      large_order)`` — the real x86-64 geometry is
-      ``PageGeometry(12, 9, 18)``: 4KB base, 2MB mid, 1GB large;
+    * three-tier arithmetic: ``PageGeometry(base_shift, mid_order,
+      large_order)`` — e.g. ``PageGeometry(12, 9, 18)``: 4KB base, 2MB
+      mid, 1GB large.  It declares no TLB sections, so it serves size
+      arithmetic but cannot build a TLB;
     * declarative: ``PageGeometry(base_shift=12, levels=(...))`` with an
       explicit :class:`PageLevel` tuple of any length >= 2.
 
@@ -193,7 +202,12 @@ class PageGeometry:
                 )
             groups = dict(self.l2_groups)
             for lvl in levels:
-                if lvl.tlb.l2 is not None and lvl.tlb.l2 not in groups:
+                if not isinstance(lvl.tlb.l2, str):
+                    raise ValueError(
+                        f"level {lvl.name!r} must name an L2 group, "
+                        f"got {lvl.tlb.l2!r}"
+                    )
+                if lvl.tlb.l2 not in groups:
                     raise ValueError(
                         f"level {lvl.name!r} references undeclared L2 group "
                         f"{lvl.tlb.l2!r}"
@@ -323,14 +337,47 @@ class PageGeometry:
         return "\n".join(rows)
 
 
-#: Real x86-64 geometry: 4KB / 2MB / 1GB.
-X86_GEOMETRY = PageGeometry(base_shift=12, mid_order=9, large_order=18)
+#: Real x86-64 geometry: 4KB / 2MB / 1GB with Table 1's Skylake data-side
+#: TLBs: L1 64x4 (4KB), 32x4 (2MB) and 4-entry fully associative (1GB); a
+#: 1536-entry 12-way L2 shared by 4KB and 2MB plus a 16-entry 4-way 1GB L2.
+X86_GEOMETRY = PageGeometry(
+    base_shift=12,
+    levels=_three_tier_levels(9, 18, (
+        TLBSection(TLBConfig(64, 4), "shared"),
+        TLBSection(TLBConfig(32, 4), "shared"),
+        TLBSection(TLBConfig(4, 4), "large"),
+    )),
+    l2_groups=(("shared", TLBConfig(1536, 12)), ("large", TLBConfig(16, 4))),
+    name="x86-64",
+)
 
 #: Scaled geometry for fast experiments: 4KB base, 64KB "2MB-class" mid,
 #: 4MB "1GB-class" large.  Ratios between levels shrink from 512x to 16/64x,
 #: which keeps buddy/TLB dynamics intact while making a "63.5GB" workload
 #: simulate as ~254MB of address space.
-SCALED_GEOMETRY = PageGeometry(base_shift=12, mid_order=4, large_order=10)
+#:
+#: Its TLBs preserve each page size's TLB-reach-to-footprint ratio from the
+#: Skylake testbed.  Footprints shrink by 256x (the large-page ratio); base
+#: pages do not shrink at all, so base structures shrink by 8x (a partial
+#: compensation: the full 256x would leave no structure at all, and
+#: base-heavy configurations sit far beyond reach under either choice); mid
+#: pages shrink 32x, so mid structures shrink by the residual 8x, in an L2
+#: group of their own; large-page counts are scale-invariant, so the 1GB
+#: structures keep their real sizes.
+SCALED_GEOMETRY = PageGeometry(
+    base_shift=12,
+    levels=_three_tier_levels(4, 10, (
+        TLBSection(TLBConfig(16, 4), "shared"),
+        TLBSection(TLBConfig(4, 4), "mid"),
+        TLBSection(TLBConfig(4, 4), "large"),
+    )),
+    l2_groups=(
+        ("shared", TLBConfig(192, 12)),
+        ("large", TLBConfig(16, 4)),
+        ("mid", TLBConfig(192, 12)),
+    ),
+    name="x86",
+)
 
 #: Scale factor mapping paper footprints (bytes) onto SCALED_GEOMETRY bytes.
 #: large_size shrinks 1GB -> 4MB, i.e. by 256x; footprints shrink alike so a
@@ -340,87 +387,6 @@ SCALE_FACTOR = X86_GEOMETRY.large_size // SCALED_GEOMETRY.large_size
 #: Core clock of the paper's Skylake testbed (Xeon Gold 5118, 2.3 GHz);
 #: converts translation cycles into nanoseconds on the simulated-time axis.
 FREQ_GHZ = 2.3
-
-
-@dataclass(frozen=True)
-class TLBHierarchyConfig:
-    """Per-core TLB shapes.  Defaults follow Table 1 (Skylake, data side).
-
-    * L1 dTLB: 64-entry 4-way for 4KB; 32-entry 4-way for 2MB; 4-entry fully
-      associative for 1GB.
-    * L2 sTLB: 1536-entry 12-way shared by 4KB/2MB; 16-entry 4-way for 1GB.
-
-    ``l2_mid`` optionally splits mid translations out of the shared L2 into
-    their own structure.  Real Skylake shares the array; the *scaled*
-    experiment geometry shrinks mid pages by a different factor than large
-    pages, so preserving the paper's reach-to-footprint ratios requires an
-    independently-sized mid L2 (see SCALED_TLB below).
-
-    These three-tier fields only cover 3-level geometries; N-level
-    geometries embed a :class:`TLBSection` per :class:`PageLevel` instead,
-    and :meth:`resolved` prefers those when present.
-    """
-
-    l1_base: TLBConfig = TLBConfig(64, 4)
-    l1_mid: TLBConfig = TLBConfig(32, 4)
-    l1_large: TLBConfig = TLBConfig(4, 4)
-    l2_shared: TLBConfig = TLBConfig(1536, 12)
-    l2_large: TLBConfig = TLBConfig(16, 4)
-    l2_mid: TLBConfig | None = None
-
-    def resolved(
-        self, geometry: PageGeometry
-    ) -> tuple[tuple[TLBSection, ...], dict[str, TLBConfig]]:
-        """Per-level sections and L2 group configs for ``geometry``.
-
-        Geometry-embedded sections win; otherwise the legacy three-tier
-        fields are mapped onto a 3-level geometry exactly as before the
-        N-level redesign (so x86-family hierarchies build identically).
-        """
-        if all(lvl.tlb is not None for lvl in geometry.levels):
-            return (
-                tuple(lvl.tlb for lvl in geometry.levels),
-                dict(geometry.l2_groups),
-            )
-        if geometry.n_levels != 3:
-            raise ValueError(
-                f"geometry {geometry.name or geometry.labels} has "
-                f"{geometry.n_levels} levels but no per-level TLB sections; "
-                "the legacy TLBHierarchyConfig fields only describe 3-level "
-                "geometries"
-            )
-        groups: dict[str, TLBConfig] = {
-            "shared": self.l2_shared,
-            "large": self.l2_large,
-        }
-        mid_group = "shared"
-        if self.l2_mid is not None:
-            groups["mid"] = self.l2_mid
-            mid_group = "mid"
-        sections = (
-            TLBSection(self.l1_base, "shared"),
-            TLBSection(self.l1_mid, mid_group),
-            TLBSection(self.l1_large, "large"),
-        )
-        return sections, groups
-
-
-#: TLB preset for SCALED_GEOMETRY, preserving each page size's
-#: TLB-reach-to-footprint ratio from the Skylake testbed.  Footprints shrink
-#: by 256x (the large-page ratio); base pages do not shrink at all, so base
-#: structures shrink by 8x (a partial compensation: the full 256x would
-#: leave no structure at all, and base-heavy configurations sit far beyond
-#: reach under either choice); mid pages shrink 32x, so mid structures
-#: shrink by the residual 8x; large-page counts are scale-invariant, so the
-#: 1GB structures keep their real sizes.
-SCALED_TLB = TLBHierarchyConfig(
-    l1_base=TLBConfig(16, 4),
-    l1_mid=TLBConfig(4, 4),
-    l1_large=TLBConfig(4, 4),
-    l2_shared=TLBConfig(192, 12),
-    l2_large=TLBConfig(16, 4),
-    l2_mid=TLBConfig(192, 12),
-)
 
 
 @dataclass(frozen=True)
@@ -601,11 +567,11 @@ class CostModel:
 
 @dataclass(frozen=True)
 class MachineConfig:
-    """A simulated machine: physical memory + TLB + walk + cost parameters."""
+    """A simulated machine: geometry (with its TLB shapes), physical memory,
+    walk and cost parameters."""
 
     geometry: PageGeometry = SCALED_GEOMETRY
     total_frames: int = 1 << 16  # 256MB at 4KB frames under SCALED_GEOMETRY
-    tlb: TLBHierarchyConfig = field(default_factory=TLBHierarchyConfig)
     walk: WalkConfig = field(default_factory=WalkConfig)
     cost: CostModel = field(default_factory=CostModel)
     #: Fraction of physical memory reserved for unmovable kernel allocations
@@ -644,13 +610,11 @@ def default_machine(
 
     The paper's testbed has 384GB / 1GB = 384 regions per machine and 192 per
     socket; 64 scaled regions keeps single-figure runs fast while leaving
-    room for the same fragmentation dynamics.  Scaled geometries get the
-    reach-preserving SCALED_TLB; the real x86 geometry keeps Skylake shapes.
+    room for the same fragmentation dynamics.  The TLB shapes come with the
+    geometry.
     """
-    tlb = TLBHierarchyConfig() if geometry == X86_GEOMETRY else SCALED_TLB
     return MachineConfig(
         geometry=geometry,
         total_frames=total_large_regions * geometry.frames_per_large,
-        tlb=tlb,
         cost=CostModel().scaled_for(geometry),
     )

@@ -62,7 +62,7 @@ def run(
         step = geometry.bytes_for(size)
         for pa in range(0, total, step):
             table.map_page(pa, size, pa // geometry.base_size)
-        tlb = TLBHierarchy(machine.tlb, machine.walk, geometry)
+        tlb = TLBHierarchy(machine.walk, geometry)
         for pa in stream:
             mapping = table.translate(int(pa))
             tlb.access(int(pa), mapping)

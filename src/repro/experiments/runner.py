@@ -33,7 +33,6 @@ from repro.experiments.configs import policy_factory
 from repro.obs import Observability
 from repro.sim.perfmodel import PerfModel, RunMetrics
 from repro.sim.system import System
-from repro.tlb.hierarchy import TranslationStats
 from repro.vm.mappability import MappabilityScanner
 from repro.workloads.registry import get_workload
 
@@ -603,7 +602,7 @@ class VirtRunner:
                 / 2.3
             )
             self._settle_uncapped(0.5 * runtime_est_ns)
-            process.tlb.stats = TranslationStats.for_geometry(process.geometry)
+            process.tlb.reset_stats()
             for chunk in self.workload.iter_batches(api, cfg.n_accesses):
                 self.vm.guest.touch_batch(process, chunk)
         else:
@@ -614,7 +613,7 @@ class VirtRunner:
             # slices the stream by daemon quanta itself, so it keeps the
             # materialized form.
             stream = self.workload.access_stream(api, cfg.n_accesses)
-            process.tlb.stats = TranslationStats.for_geometry(process.geometry)
+            process.tlb.reset_stats()
             self._run_capped_interleaved(
                 process, stream, cfg.guest_daemon_total_s * 1e9
             )

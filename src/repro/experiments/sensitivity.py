@@ -73,14 +73,18 @@ def run_tlb_capacity_sweep(
         RunConfig(workload, "2MB-THP", n_accesses=n_accesses, seed=seed)
     ).run()
     for entries in l2_large_entries:
-        runner = NativeRunner(
-            RunConfig(workload, "Trident", n_accesses=n_accesses, seed=seed)
-        )
-        machine = runner.machine
-        new_tlb = replace(machine.tlb, l2_large=TLBConfig(entries, 4))
-        runner.system.machine = replace(machine, tlb=new_tlb)
-        runner.machine = runner.system.machine
-        metrics = runner.run()
+        groups = dict(SCALED_GEOMETRY.l2_groups)
+        groups["large"] = TLBConfig(entries, 4)
+        geometry = replace(SCALED_GEOMETRY, l2_groups=tuple(groups.items()))
+        metrics = NativeRunner(
+            RunConfig(
+                workload,
+                "Trident",
+                n_accesses=n_accesses,
+                seed=seed,
+                geometry=geometry,
+            )
+        ).run()
         rows.append(
             {
                 "l2_1gb_entries": entries,

@@ -36,42 +36,32 @@ from repro.config import (
     PageGeometry,
     PageLevel,
     SCALED_GEOMETRY,
-    SCALED_TLB,
     SCALE_FACTOR,
     TLBConfig,
-    TLBHierarchyConfig,
     TLBSection,
     WalkConfig,
     X86_GEOMETRY,
-    default_machine,
 )
 
 
 @dataclass(frozen=True)
 class GeometryPreset:
-    """A runnable geometry: the level ladder plus machine parameters."""
+    """A runnable geometry: the level ladder (with its TLB shapes) plus
+    machine parameters."""
 
     key: str
     title: str
     description: str
     geometry: PageGeometry
-    #: legacy three-tier TLB shapes; ignored when the geometry embeds
-    #: per-level sections
-    tlb: TLBHierarchyConfig = field(default_factory=lambda: SCALED_TLB)
     walk: WalkConfig = field(default_factory=WalkConfig)
     #: multiplier mapping scaled bytes back to paper-scale bytes
     scale_factor: int = 1
 
     def machine(self, total_large_regions: int = 64) -> MachineConfig:
         """A machine of ``total_large_regions`` top-level regions."""
-        if self.key == "x86":
-            # The canonical pipeline: must stay byte-identical to a run
-            # that never mentioned geometries at all.
-            return default_machine(total_large_regions)
         return MachineConfig(
             geometry=self.geometry,
             total_frames=total_large_regions * self.geometry.frames_per_large,
-            tlb=self.tlb,
             walk=self.walk,
             cost=CostModel().scaled_for(self.geometry),
         )
@@ -170,13 +160,7 @@ def _presets() -> dict[str, GeometryPreset]:
                 "geometry every experiment runs; selecting it is "
                 "bitwise-identical to the pre-geometry default."
             ),
-            geometry=PageGeometry(
-                base_shift=SCALED_GEOMETRY.base_shift,
-                mid_order=SCALED_GEOMETRY.mid_order,
-                large_order=SCALED_GEOMETRY.large_order,
-                name="x86",
-            ),
-            tlb=SCALED_TLB,
+            geometry=SCALED_GEOMETRY,
             scale_factor=SCALE_FACTOR,
         ),
         "sv-napot": GeometryPreset(
@@ -245,7 +229,8 @@ def geometry_from_dict(spec: dict, *, name: str = "") -> GeometryPreset:
 
     Raises :class:`ValueError` with a actionable message on any schema
     violation; :class:`PageGeometry`'s own validation (monotone orders,
-    unique names, section/group consistency) runs on top.
+    unique names, section/group consistency) runs on top.  Every level
+    must give its ``l1`` TLB: the shapes come only from the file.
     """
     if not isinstance(spec, dict):
         raise ValueError("geometry spec must be a JSON object")
@@ -264,15 +249,13 @@ def geometry_from_dict(spec: dict, *, name: str = "") -> GeometryPreset:
     for i, raw in enumerate(raw_levels):
         if not isinstance(raw, dict):
             raise ValueError(f"levels[{i}] must be an object")
-        for key in ("name", "order"):
+        for key in ("name", "order", "l1"):
             if key not in raw:
                 raise ValueError(f"levels[{i}] is missing {key!r}")
-        section = None
-        if "l1" in raw:
-            section = TLBSection(
-                _tlb_config(raw["l1"], f"levels[{i}].l1"),
-                raw.get("l2", "shared"),
-            )
+        section = TLBSection(
+            _tlb_config(raw["l1"], f"levels[{i}].l1"),
+            raw.get("l2", "shared"),
+        )
         levels.append(
             PageLevel(
                 name=str(raw["name"]),

@@ -23,7 +23,7 @@ class Process:
         self.geometry = geometry
         self.aspace = AddressSpace(geometry)
         self.pagetable = PageTable(geometry)
-        self.tlb = tlb  # TLBHierarchy (native) or NestedTranslationUnit (virt)
+        self.tlb = tlb  # a TLBHierarchy; NestedTranslationUnit under virt
         self.frame_owner = ProcessFrameOwner(self)
         self.touched_pages: set[int] = set()  # base VPNs ever accessed
         self.faults = 0

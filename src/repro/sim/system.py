@@ -264,9 +264,7 @@ class System:
 
     # -- processes --------------------------------------------------------------
     def create_process(self, name: str = "app", home_node: int = 0) -> Process:
-        tlb = TLBHierarchy(
-            self.machine.tlb, self.machine.walk, self.geometry, obs=self.obs
-        )
+        tlb = TLBHierarchy(self.machine.walk, self.geometry, obs=self.obs)
         process = Process(self._next_pid, name, self.geometry, tlb)
         self._next_pid += 1
         if self._numa_active:
@@ -394,12 +392,10 @@ class System:
     def touch_batch(self, process: Process, vas) -> BatchResult:
         """Touch a whole address stream; returns aggregate :class:`BatchResult`.
 
-        This is the primary hot-path API.  When the process translates
-        through a native :class:`TLBHierarchy` the stream runs on the
+        This is the primary hot-path API.  The stream runs on the
         vectorized batch engine (:mod:`repro.sim.batch`), which is
-        counter-for-counter identical to the scalar loop; otherwise (and
-        for subclasses that opt out via ``batch_hot_path``) it falls back
-        to per-access ``touch``.
+        counter-for-counter identical to the scalar loop; subclasses that
+        opt out via ``batch_hot_path`` fall back to per-access ``touch``.
         """
         vas = np.ascontiguousarray(np.asarray(vas, dtype=np.int64))
         stats = process.tlb.stats
@@ -414,7 +410,7 @@ class System:
             process.faults,
             policy_stats.fault_ns,
         )
-        if self.batch_hot_path and isinstance(process.tlb, TLBHierarchy):
+        if self.batch_hot_path:
             if self._batch_engine is None:
                 self._batch_engine = BatchEngine(self)
             self._batch_engine.run(process, vas)

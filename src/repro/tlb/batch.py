@@ -379,7 +379,7 @@ def hierarchy_touch_batch(hierarchy, sizes: np.ndarray, vas: np.ndarray) -> None
     # iteration follows ascending level order deterministically.
     by_struct: dict[SetAssocTLB, list[int]] = {}
     for size in range(n_levels):
-        l2 = hierarchy._l2_for(size)
+        l2 = hierarchy._l2_by_level[size]
         by_struct.setdefault(l2, []).append(size)
     for l2, struct_sizes in by_struct.items():
         sel = np.isin(miss_sizes, struct_sizes)
@@ -461,6 +461,8 @@ def _accumulate_misses(
                 h.bucket_counts[bisect_left(h.bounds, v)] += k
                 h.count += k
                 h.sum = _seeded_total(h.sum, np.full(k, v))
+                if h.max is None or v > h.max:
+                    h.max = v
         return
 
     walks_by_size = stats.walks_by_size

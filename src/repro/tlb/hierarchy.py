@@ -13,8 +13,8 @@ Structure (Skylake defaults, x86 three-tier geometry):
 
 Other geometries declare more levels (SVNAPOT's 64KB NAPOT pages) or
 different groupings (ARM's contiguous-bit entries share the granule
-array); the hierarchy builds whatever ladder
-:meth:`TLBHierarchyConfig.resolved` hands it, one SetAssocTLB per level.
+array); the hierarchy builds whatever ladder the geometry declares: one
+SetAssocTLB per level's section plus one per named L2 group.
 
 The simulator is trace-driven: the caller translates each virtual address
 through the page table first (so the mapping's page size is known — hardware
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.config import FREQ_GHZ, PageGeometry, TLBHierarchyConfig, WalkConfig
+from repro.config import FREQ_GHZ, PageGeometry, WalkConfig
 from repro.tlb.tlb import SetAssocTLB
 from repro.tlb.walker import PageWalker
 from repro.vm.pagetable import Mapping
@@ -64,13 +64,13 @@ class TLBHierarchy:
     #: walk-latency histogram bucket upper bounds, in cycles
     WALK_BUCKETS = (10, 20, 40, 60, 80, 120, 160, 240, 320, 640)
 
-    def __init__(
-        self,
-        config: TLBHierarchyConfig,
-        walk: WalkConfig,
-        geometry: PageGeometry,
-        obs=None,
-    ) -> None:
+    def __init__(self, walk: WalkConfig, geometry: PageGeometry, obs=None) -> None:
+        if any(lvl.tlb is None for lvl in geometry.levels):
+            raise ValueError(
+                f"geometry {geometry.name or '/'.join(geometry.labels)} "
+                "declares no per-level TLB sections; a TLB needs one "
+                "TLBSection on every level"
+            )
         self.geometry = geometry
         self.walk_config = walk
         self.n_levels = geometry.n_levels
@@ -89,24 +89,19 @@ class TLBHierarchy:
                 )
                 for s in geometry.all_levels
             }
-        sections, groups = config.resolved(geometry)
         self.l1 = {
-            level: SetAssocTLB(sections[level].l1)
-            for level in geometry.all_levels
+            level: SetAssocTLB(lvl.tlb.l1)
+            for level, lvl in enumerate(geometry.levels)
         }
         #: named L2 group -> structure, in declaration order
-        self.l2 = {name: SetAssocTLB(cfg) for name, cfg in groups.items()}
-        self._l2_by_level = [
-            self.l2[sections[level].l2] for level in geometry.all_levels
-        ]
+        self.l2 = {name: SetAssocTLB(cfg) for name, cfg in geometry.l2_groups}
+        #: level -> the L2 structure its section feeds
+        self._l2_by_level = [self.l2[lvl.tlb.l2] for lvl in geometry.levels]
         self.walker = PageWalker(walk)
         self.stats = TranslationStats.for_geometry(geometry)
         self._shifts = {
             level: geometry.shift_for(level) for level in geometry.all_levels
         }
-
-    def _l2_for(self, page_size: int) -> SetAssocTLB:
-        return self._l2_by_level[page_size]
 
     def access(self, va: int, mapping: Mapping) -> float:
         """One load/store to ``va``; returns translation cycles beyond L1 hit.
@@ -116,14 +111,23 @@ class TLBHierarchy:
         """
         size = mapping.page_size
         vpn = va >> self._shifts[size]
-        stats = self.stats
-        stats.accesses += 1
+        self.stats.accesses += 1
         mapping.accessed = True
+        cycles = self._probe(size, vpn)
+        if cycles is None:
+            cycles = self.walker.native_walk(size)
+            self._walked(
+                size, vpn, cycles, cycles + self.walk_config.l2_tlb_hit_cycles
+            )
+        return cycles
+
+    def _probe(self, size: int, vpn: int) -> float | None:
+        """L1 then L2 lookup; the hit's cycles, or None when a walk is due."""
+        stats = self.stats
         if self.l1[size].lookup(vpn):
             stats.l1_hits += 1
             return 0.0
-        l2 = self._l2_by_level[size]
-        if l2.lookup(vpn):
+        if self._l2_by_level[size].lookup(vpn):
             stats.l2_hits += 1
             self.l1[size].insert(vpn)
             cycles = float(self.walk_config.l2_tlb_hit_cycles)
@@ -131,15 +135,22 @@ class TLBHierarchy:
             if self._clock is not None:
                 self._clock.advance(cycles / FREQ_GHZ)
             return cycles
-        cycles = self.walker.native_walk(size)
+        return None
+
+    def _walked(self, size: int, vpn: int, cycles: float, charged: float) -> None:
+        """Account one ``cycles`` walk, charge ``charged``, fill L2 and L1.
+
+        Stats update before the clock advances and the histogram and trace
+        event after it: scrapes fire inside ``advance`` and must see this
+        order.
+        """
+        stats = self.stats
         stats.walks += 1
         stats.walks_by_size[size] += 1
         stats.walk_cycles += cycles
         stats.translation_cycles += cycles + self.walk_config.l2_tlb_hit_cycles
         if self._clock is not None:
-            self._clock.advance(
-                (cycles + self.walk_config.l2_tlb_hit_cycles) / FREQ_GHZ
-            )
+            self._clock.advance(charged / FREQ_GHZ)
         if self._h_walk is not None:
             self._h_walk[size].observe(cycles)
             tr = self._tracer
@@ -148,9 +159,8 @@ class TLBHierarchy:
                     "tlb", "walk", vpn=vpn,
                     size=self._labels[size], cycles=cycles,
                 )
-        l2.insert(vpn)
+        self._l2_by_level[size].insert(vpn)
         self.l1[size].insert(vpn)
-        return cycles
 
     def invalidate_range(self, start: int, length: int) -> None:
         """Shootdown for a remapped range (promotion/compaction).

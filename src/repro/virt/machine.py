@@ -11,11 +11,14 @@ Two complete systems are stacked, as in the paper's virtualized evaluation:
 
 Guest processes translate through a :class:`NestedTranslationUnit`, so each
 access pays for the effective page size min(guest, host) and 2D walk costs.
+The unit instruments itself against the guest's observability, as native
+TLBs do: it charges the guest clock and records walk histograms and trace
+events.
 """
 
 from __future__ import annotations
 
-from repro.config import FREQ_GHZ, MachineConfig
+from repro.config import MachineConfig
 from repro.sim.batch import TouchResult
 from repro.sim.process import Process
 from repro.sim.system import System
@@ -27,8 +30,9 @@ class GuestSystem(System):
     """A System whose physical memory is the VM's guest-physical range."""
 
     #: every guest access does per-access work outside the native contract
-    #: (EPT backing, nested-walk clock charging), so ``touch_batch`` stays
-    #: on the scalar loop — the BatchResult contract is unchanged
+    #: (EPT backing, the host-table lookup of the nested walk), so
+    #: ``touch_batch`` stays on the scalar loop — the BatchResult contract
+    #: is unchanged
     batch_hot_path = False
 
     def __init__(
@@ -46,11 +50,11 @@ class GuestSystem(System):
 
     def create_process(self, name: str = "app") -> Process:
         tlb = NestedTranslationUnit(
-            self.machine.tlb,
             self.machine.walk,
             self.geometry,
             host_table=self.hypervisor.host_table,
             hva_base=self.hypervisor.hva_base,
+            obs=self.obs,
         )
         process = Process(self._next_pid, name, self.geometry, tlb)
         self._next_pid += 1
@@ -71,10 +75,6 @@ class GuestSystem(System):
         self._ensure_backed(gpa)
         process.record_touch(va)
         cycles = process.tlb.access(va, mapping)
-        if cycles > 0.0:
-            # The nested unit has no obs of its own: charge its walk and
-            # L2-hit cycles to the guest's time axis here (leaf site).
-            self.obs.clock.advance(cycles / FREQ_GHZ)
         self._accesses_since_daemon += 1
         if self._accesses_since_daemon >= self.daemon_period_accesses:
             self.run_daemons()

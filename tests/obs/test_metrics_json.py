@@ -6,6 +6,7 @@ views of the same numbers.
 """
 
 import json
+from collections import Counter
 
 from repro.cli import main
 from repro.experiments.runner import NativeRunner, RunConfig
@@ -67,6 +68,41 @@ class TestMetricsJsonMatchesRunMetrics:
             v for k, v in counters.items() if k.startswith("tlb_walks_total{")
         )
         assert walks == metrics.walks
+
+    def test_guest_walk_histograms_record_every_walk(self, tmp_path):
+        path = str(tmp_path / "metrics.json")
+        trace_path = str(tmp_path / "t.jsonl")
+        code = main(
+            [
+                "run", "GUPS", "Trident", "--virt", "--accesses", "5000",
+                "--seed", "7", "--metrics-out", path, "--trace",
+                "--trace-subsystems", "tlb", "--trace-out", trace_path,
+            ]
+        )
+        assert code == 0
+        data = json.loads(open(path).read())
+        walk_events = Counter(
+            record["size"]
+            for record in map(json.loads, open(trace_path))
+            if record["event"] == "walk"
+        )
+        labels = [
+            k[len("tlb_walks_total{size="):-1]
+            for k in data["counters"]
+            if k.startswith("tlb_walks_total{")
+        ]
+        assert sorted(labels) == ["1GB", "2MB", "4KB"]
+        assert data["trace"]["dropped"] == 0
+        for label in labels:
+            hist = data["histograms"][f"tlb_walk_cycles{{size={label}}}"]
+            # Histogram and trace event come from the same guest walk.
+            assert hist["count"] == walk_events[label]
+            # The counter covers the measured phase only (the runner resets
+            # the unit's stats after set-up); the histogram covers the run.
+            assert hist["count"] >= data["counters"][
+                f"tlb_walks_total{{size={label}}}"
+            ]
+        assert sum(walk_events.values()) > 0
 
 
 class TestObservabilityCLI:

@@ -11,6 +11,7 @@ from repro.config import (
     CostModel,
     MachineConfig,
     PageGeometry,
+    TLBConfig,
     WalkConfig,
     default_machine,
 )
@@ -92,7 +93,9 @@ class TestMachineConfig:
 
     def test_default_machine_uses_scaled_tlb_and_cost(self):
         m = default_machine(8)
-        assert m.tlb.l2_mid is not None  # the scaled preset
+        # The scaled shapes: mid pages get an L2 group of their own.
+        assert m.geometry.levels[1].tlb.l2 == "mid"
+        assert dict(m.geometry.l2_groups)["mid"] == TLBConfig(192, 12)
         # Scaled cost model: zeroing a scaled large page costs real-1GB time.
         assert m.cost.zero_ns(m.geometry.large_size) == pytest.approx(
             CostModel().zero_ns(X86_GEOMETRY.large_size)
@@ -100,7 +103,11 @@ class TestMachineConfig:
 
     def test_x86_machine_keeps_real_shapes(self):
         m = default_machine(4, X86_GEOMETRY)
-        assert m.tlb.l2_mid is None
+        # Skylake: 4KB and 2MB share the 1536-entry L2.
+        assert [lvl.tlb.l2 for lvl in m.geometry.levels] == [
+            "shared", "shared", "large"
+        ]
+        assert dict(m.geometry.l2_groups)["shared"] == TLBConfig(1536, 12)
         assert m.cost.zero_bandwidth_bytes_per_ns == pytest.approx(2.6)
 
     def test_scaled_copy(self):

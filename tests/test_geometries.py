@@ -231,9 +231,18 @@ class TestGeometryFromDict:
             ),
             (lambda s: s.update(l2_groups=[1, 2]), "'l2_groups' must be an object"),
             (lambda s: s.update(walk=[1]), "'walk' must be an object"),
+            # TLB shapes come only from the file: no level may omit l1.
+            (
+                lambda s: [level.pop("l1") for level in s["levels"]],
+                "levels[0] is missing 'l1'",
+            ),
+            (
+                lambda s: s["levels"][0].update(l2=None),
+                "level 'base' must name an L2 group, got None",
+            ),
         ],
     )
-    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("command", ["validate", "run", "describe"])
     def test_non_object_values_exit_two_with_one_line(
         self, mutate, message, command, tmp_path, capsys
     ):
@@ -243,10 +252,10 @@ class TestGeometryFromDict:
         mutate(spec)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(spec))
-        if command == "validate":
-            argv = ["geometry", "validate", str(path)]
-        else:
+        if command == "run":
             argv = ["run", "GUPS", "Trident", "--geometry", str(path)]
+        else:
+            argv = ["geometry", command, str(path)]
         assert main(argv) == 2
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 1

@@ -161,3 +161,34 @@ def test_single_key_and_empty_edge_cases():
     run_case([5, 5, 5, 5], 1, 1)
     # direct-mapped (ways=1): any intervening distinct key evicts
     run_case([1, 2, 1, 1, 2], 1, 1)
+
+
+def _walk_histograms(batched: bool) -> dict:
+    """Full walk-histogram exports after 200 cold base-page accesses."""
+    from repro.config import SCALED_GEOMETRY, WalkConfig
+    from repro.obs import Observability
+    from repro.sim.batch import hierarchy_touch_batch
+    from repro.tlb.hierarchy import TLBHierarchy
+    from repro.vm.pagetable import PageTable
+
+    g = SCALED_GEOMETRY
+    obs = Observability()
+    tlb = TLBHierarchy(WalkConfig(), g, obs=obs)
+    table = PageTable(g)
+    vas = 0x7000_0000_0000 + np.arange(200, dtype=np.int64) * g.base_size
+    mappings = [table.map_page(int(va), 0, i) for i, va in enumerate(vas)]
+    if batched:
+        hierarchy_touch_batch(tlb, np.zeros(len(vas), dtype=np.int64), vas)
+    else:
+        for va, mapping in zip(vas.tolist(), mappings):
+            tlb.access(va, mapping)
+    return obs.metrics.snapshot()["histograms"]
+
+
+def test_vectorized_walk_histograms_export_like_scalar():
+    """Every exported field matches, ``max`` included: the fingerprint
+    hashes only (count, sum, buckets), so it cannot catch a missing max."""
+    batch = _walk_histograms(batched=True)
+    scalar = _walk_histograms(batched=False)
+    assert batch == scalar
+    assert scalar["tlb_walk_cycles{size=4KB}"]["max"] == pytest.approx(256.0)

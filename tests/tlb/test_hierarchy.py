@@ -1,15 +1,21 @@
 """Tests for the TLB hierarchy and nested translation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import (
+    FREQ_GHZ,
     SCALED_GEOMETRY,
+    PageGeometry,
     TLBConfig,
-    TLBHierarchyConfig,
+    TLBSection,
     WalkConfig,
 )
+from repro.obs import Observability
 from repro.tlb.hierarchy import TLBHierarchy
 from repro.tlb.nested import NestedTranslationUnit
+from repro.tlb.walker import PageWalker
 from repro.vm.pagetable import PageTable
 
 G = SCALED_GEOMETRY
@@ -17,17 +23,26 @@ BASE, MID, LARGE = G.base_size, G.mid_size, G.large_size
 LVL_BASE, LVL_MID, LVL_LARGE = 0, 1, 2  # geometry level indices
 VA0 = 0x7000_0000_0000
 
-TINY_TLB = TLBHierarchyConfig(
-    l1_base=TLBConfig(4, 2),
-    l1_mid=TLBConfig(4, 2),
-    l1_large=TLBConfig(2, 2),
-    l2_shared=TLBConfig(16, 4),
-    l2_large=TLBConfig(4, 2),
+#: the scaled ladder with tiny TLBs: 4KB and 2MB share one small L2
+TINY = replace(
+    G,
+    levels=tuple(
+        replace(lvl, tlb=section)
+        for lvl, section in zip(
+            G.levels,
+            (
+                TLBSection(TLBConfig(4, 2), "shared"),
+                TLBSection(TLBConfig(4, 2), "shared"),
+                TLBSection(TLBConfig(2, 2), "large"),
+            ),
+        )
+    ),
+    l2_groups=(("shared", TLBConfig(16, 4)), ("large", TLBConfig(4, 2))),
 )
 
 
-def make_hierarchy(config=None):
-    return TLBHierarchy(config or TLBHierarchyConfig(), WalkConfig(), G)
+def make_hierarchy(geometry=G):
+    return TLBHierarchy(WalkConfig(), geometry)
 
 
 class TestTLBHierarchy:
@@ -51,7 +66,7 @@ class TestTLBHierarchy:
         assert m.accessed
 
     def test_l2_hit_cheaper_than_walk(self):
-        h = make_hierarchy(TINY_TLB)
+        h = make_hierarchy(TINY)
         t = PageTable(G)
         maps = [t.map_page(VA0 + i * BASE, LVL_BASE, i) for i in range(8)]
         # Touch enough pages in one L1 set's worth to evict from L1 but stay
@@ -62,7 +77,7 @@ class TestTLBHierarchy:
         assert 0 < cost <= WalkConfig().l2_tlb_hit_cycles
 
     def test_large_pages_cover_more_with_fewer_entries(self):
-        h = make_hierarchy(TINY_TLB)
+        h = make_hierarchy(TINY)
         t = PageTable(G)
         m = t.map_page(VA0, LVL_LARGE, 0)
         # Every base page inside one large page hits after the first walk.
@@ -74,7 +89,7 @@ class TestTLBHierarchy:
         footprint = 4 * MID
         # Same footprint, base vs large mappings, uniform sweep twice.
         t = PageTable(G)
-        h_base = make_hierarchy(TINY_TLB)
+        h_base = make_hierarchy(TINY)
         maps = {}
         for va in range(VA0, VA0 + footprint, BASE):
             maps[va] = t.map_page(va, LVL_BASE, (va - VA0) // BASE)
@@ -82,7 +97,7 @@ class TestTLBHierarchy:
             for va in range(VA0, VA0 + footprint, BASE):
                 h_base.access(va, maps[va])
         t2 = PageTable(G)
-        h_large = make_hierarchy(TINY_TLB)
+        h_large = make_hierarchy(TINY)
         m = t2.map_page(VA0, LVL_LARGE, 0)
         for _ in range(2):
             for va in range(VA0, VA0 + footprint, BASE):
@@ -116,9 +131,23 @@ class TestTLBHierarchy:
         assert h.stats.accesses == 0
         assert h.stats.walk_cycles == 0
 
+    def test_shapes_come_from_the_geometry(self):
+        h = make_hierarchy(TINY)
+        assert [(t.entries, t.ways) for t in h.l1.values()] == [
+            (lvl.tlb.l1.entries, lvl.tlb.l1.ways) for lvl in TINY.levels
+        ]
+        assert [(name, t.entries, t.ways) for name, t in h.l2.items()] == [
+            (name, cfg.entries, cfg.ways) for name, cfg in TINY.l2_groups
+        ]
+        assert h._l2_by_level[LVL_MID] is h.l2["shared"]
+
+    def test_geometry_without_sections_raises(self):
+        with pytest.raises(ValueError, match="no per-level TLB sections"):
+            TLBHierarchy(WalkConfig(), PageGeometry(12, 4, 10))
+
 
 class TestNestedTranslation:
-    def make_nested(self, guest_size, host_size):
+    def make_nested(self, guest_size, host_size, obs=None):
         guest_table = PageTable(G)
         host_table = PageTable(G)
         gm = guest_table.map_page(VA0, guest_size, pfn=0)
@@ -126,7 +155,7 @@ class TestNestedTranslation:
         gpa_len = G.bytes_for(guest_size)
         for gpa in range(0, gpa_len, G.bytes_for(host_size)):
             host_table.map_page(gpa, host_size, pfn=gpa // G.base_size + 1000)
-        unit = NestedTranslationUnit(TINY_TLB, WalkConfig(), G, host_table)
+        unit = NestedTranslationUnit(WalkConfig(), TINY, host_table, obs=obs)
         return unit, gm
 
     def test_nested_walk_cost_ordering(self):
@@ -153,7 +182,7 @@ class TestNestedTranslation:
         guest_table = PageTable(G)
         host_table = PageTable(G)
         gm = guest_table.map_page(VA0, LVL_BASE, pfn=0)
-        unit = NestedTranslationUnit(TINY_TLB, WalkConfig(), G, host_table)
+        unit = NestedTranslationUnit(WalkConfig(), TINY, host_table)
         with pytest.raises(LookupError):
             unit.access(VA0, gm)
 
@@ -170,3 +199,34 @@ class TestNestedTranslation:
         unit.invalidate_range(VA0, MID)
         unit.access(VA0, gm)
         assert unit.stats.walks == 2
+
+    def test_reset_stats_clears_unit_walker_and_structures(self):
+        unit, gm = self.make_nested(LVL_MID, LVL_BASE)
+        unit.access(VA0, gm)
+        unit.access(VA0, gm)
+        assert unit.stats.walks == 1 and unit.walker.walks == 1
+        unit.reset_stats()
+        assert unit.stats.accesses == 0
+        assert unit.stats.walks_by_size == {s: 0 for s in G.all_levels}
+        assert (unit.walker.walks, unit.walker.walk_cycles) == (0, 0.0)
+        assert all(t.hits == t.misses == 0 for t in unit.l1.values())
+        assert all(t.hits == t.misses == 0 for t in unit.l2.values())
+        # Cached translations survive: only the counters restart.
+        assert unit.access(VA0, gm) == 0.0
+
+    def test_walks_reach_histogram_trace_and_clock(self):
+        obs = Observability(trace_subsystems=("tlb",))
+        unit, gm = self.make_nested(LVL_LARGE, LVL_MID, obs=obs)
+        cycles = unit.access(VA0, gm)
+        assert cycles == PageWalker(WalkConfig()).nested_walk(LVL_LARGE, LVL_MID)
+        # The effective size is the 2MB host page, so the walk is filed
+        # there, with the 2D walk cost.
+        hist = obs.metrics.get("tlb_walk_cycles", size=G.label_for(LVL_MID))
+        assert (hist.count, hist.sum, hist.max) == (1, cycles, cycles)
+        for level in (LVL_BASE, LVL_LARGE):
+            label = G.label_for(level)
+            assert obs.metrics.get("tlb_walk_cycles", size=label).count == 0
+        walks = list(obs.tracer.events("tlb", "walk"))
+        assert [e["size"] for e in walks] == [G.label_for(LVL_MID)]
+        # The guest clock is charged the walk alone.
+        assert obs.clock.now_ns == cycles / FREQ_GHZ

@@ -1,13 +1,16 @@
 """Tests for the hypervisor, guest/host composition, and Trident-pv."""
 
+import numpy as np
 import pytest
 
 from repro.config import default_machine
 from repro.core.thp import THPPolicy
 from repro.core.trident import TridentPolicy
+from repro.sim.bench import state_fingerprint
 from repro.virt.hypercall import PVExchangeInterface
 from repro.virt.machine import VirtualMachine
 from repro.virt.tridentpv import TridentPVPolicy
+from repro.workloads.access import zipf
 
 GUEST = default_machine(12)
 HOST = default_machine(18)
@@ -174,3 +177,32 @@ class TestTridentPV:
         policy = vm.guest.policy
         if policy.stats.promoted[LVL_LARGE]:
             assert policy.stats.promo_copy_bytes > 0
+
+
+class TestGuestPathEquivalence:
+    """``touch_batch`` on a guest leaves the state a ``touch`` loop does.
+
+    Guests run the scalar loop on both paths today; this is the gate a
+    vectorized guest path must keep passing.
+    """
+
+    @staticmethod
+    def _fingerprint(batched: bool) -> dict:
+        vm, p = make_vm()
+        footprint = 2 * LARGE
+        addr = vm.guest.sys_mmap(p, footprint)
+        stream = zipf(np.random.default_rng(42), addr, footprint, 6000)
+        vm.guest.daemon_period_accesses = 2000
+        if batched:
+            vm.guest.touch_batch(p, stream)
+        else:
+            for va in stream:
+                vm.guest.touch(p, int(va))
+        return state_fingerprint(vm.guest, p)
+
+    def test_batch_and_scalar_fingerprints_match(self):
+        batch = self._fingerprint(batched=True)
+        scalar = self._fingerprint(batched=False)
+        assert batch == scalar
+        assert sum(batch["walks_by_size"].values()) > 0
+        assert any(h[0] for k, h in batch.items() if k.startswith("hist:"))

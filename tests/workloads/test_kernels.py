@@ -128,7 +128,7 @@ class TestStructuralVsStatistical:
     qualitatively like their statistical stand-ins."""
 
     def test_btree_stream_is_tlb_hostile_like_pointer_chase(self):
-        from repro.config import SCALED_TLB, SCALED_GEOMETRY, WalkConfig
+        from repro.config import SCALED_GEOMETRY, WalkConfig
         from repro.tlb.hierarchy import TLBHierarchy
         from repro.vm.pagetable import PageTable
 
@@ -142,7 +142,7 @@ class TestStructuralVsStatistical:
         table = PageTable(geometry)
         for va in range(base, base + size, geometry.base_size):
             table.map_page(va, BASE, (va - base) // geometry.base_size)
-        tlb = TLBHierarchy(SCALED_TLB, WalkConfig(), geometry)
+        tlb = TLBHierarchy(WalkConfig(), geometry)
         for va in stream:
             tlb.access(int(va), table.translate(int(va)))
         # Leaf visits miss a lot; root/inner hits keep it below uniform.
