@@ -26,7 +26,8 @@ from repro.mem.numa import NumaBuddyPools, NumaTopology
 from repro.mem.regions import RegionTracker
 from repro.mem.zerofill import ZeroFillEngine
 from repro.obs import Observability
-from repro.sim.batch import BatchEngine, BatchResult, TouchResult
+from repro.sim import batch
+from repro.sim.batch import BatchEngine, BatchResult, Segment, TouchResult
 from repro.sim.process import Process
 from repro.tlb.hierarchy import TLBHierarchy
 
@@ -313,9 +314,10 @@ class System:
         self.policy.unmap_range(process, vma.start, vma.length)
 
     # -- the hot path ------------------------------------------------------------
-    #: whether ``touch_batch`` may use the vectorized engine; subclasses
-    #: whose ``touch`` does per-access work beyond the native contract
-    #: (e.g. the guest's EPT backing) opt out and fall back to the loop
+    #: whether ``touch_batch`` may use the vectorized engine: the scalar
+    #: reference switch, turned off by ``repro bench`` and the equivalence
+    #: tests to replay a stream through per-access ``touch`` (no subclass
+    #: opts out)
     batch_hot_path = True
 
     def touch(self, process: Process, va: int) -> TouchResult:
@@ -332,9 +334,26 @@ class System:
         process.record_touch(va)
         cycles = process.tlb.access(va, mapping)
         self._accesses_since_daemon += 1
-        if self._accesses_since_daemon >= self.daemon_period_accesses:
-            self.run_daemons()
+        self._run_due_daemons()
         return TouchResult(cycles, faulted=faulted, page_size=mapping.page_size)
+
+    def _run_due_daemons(self) -> bool:
+        """Run the daemons once ``daemon_period_accesses`` touches accrued.
+
+        The one access cadence of ``touch`` and the batch engine; returns
+        whether a quantum ran.
+        """
+        if self._accesses_since_daemon < self.daemon_period_accesses:
+            return False
+        self.run_daemons()
+        return True
+
+    def _batch_segment(self, process: Process, vas: np.ndarray) -> Segment:
+        """The batch engine's translation of one segment: a fault cuts it."""
+        sizes, fault_at, mapped_vpns = batch.translate_segment(
+            process.pagetable, vas
+        )
+        return Segment(sizes, None, fault_at, [(process, vas, sizes, mapped_vpns)])
 
     def _fault(self, process: Process, va: int):
         """Fault slow path, bracketed by a ``fault`` span.
@@ -394,8 +413,8 @@ class System:
 
         This is the primary hot-path API.  The stream runs on the
         vectorized batch engine (:mod:`repro.sim.batch`), which is
-        counter-for-counter identical to the scalar loop; subclasses that
-        opt out via ``batch_hot_path`` fall back to per-access ``touch``.
+        counter-for-counter identical to the scalar loop; with
+        ``batch_hot_path`` off it runs that loop, per-access ``touch``.
         """
         vas = np.ascontiguousarray(np.asarray(vas, dtype=np.int64))
         stats = process.tlb.stats

@@ -55,8 +55,6 @@ which reproduces the scalar path's left-to-right adds bit-for-bit.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 import numpy as np
 
 from repro.config import FREQ_GHZ
@@ -335,13 +333,19 @@ def _write_back_state(
         tlb._sets[s] = dict.fromkeys(resident)
 
 
-def hierarchy_touch_batch(hierarchy, sizes: np.ndarray, vas: np.ndarray) -> None:
+def hierarchy_touch_batch(
+    hierarchy,
+    levels: np.ndarray,
+    vas: np.ndarray,
+    keys: np.ndarray | None = None,
+) -> None:
     """Batched equivalent of per-access ``hierarchy.access(va, mapping)``.
 
-    ``sizes`` holds each access's mapping page size (geometry level
-    indices);
-    the caller guarantees the page table is static across the batch and has
-    already set the mappings' accessed bits.  All counters — per-structure
+    ``levels`` holds each access's TLB level (geometry level index) and
+    ``keys`` its walk key into ``hierarchy.walk_table``; a native walk's
+    key is its level, the default.  The caller guarantees the page table
+    is static across the batch and has already set the mappings'
+    accessed bits.  All counters — per-structure
     hits/misses, :class:`TranslationStats`, walker totals, walk histograms,
     traced walk events and :class:`SimClock` advancement — end up exactly
     as a scalar replay would leave them, including float accumulation
@@ -358,7 +362,7 @@ def hierarchy_touch_batch(hierarchy, sizes: np.ndarray, vas: np.ndarray) -> None
     vpns = np.empty(n, dtype=np.int64)
     l1_hit = np.zeros(n, dtype=bool)
     for size in range(n_levels):
-        idx = np.flatnonzero(sizes == size)
+        idx = np.flatnonzero(levels == size)
         if len(idx) == 0:
             continue
         vp = vas[idx] >> hierarchy._shifts[size]
@@ -373,7 +377,7 @@ def hierarchy_touch_batch(hierarchy, sizes: np.ndarray, vas: np.ndarray) -> None
     # L2: group the L1-miss subsequence by target structure.  Sizes that
     # share a structure (4KB + 2MB in the shared L2) interleave by stream
     # position with raw VPN keys — the scalar path's modeled aliasing.
-    miss_sizes = sizes[miss_idx]
+    miss_sizes = levels[miss_idx]
     l2_hit = np.zeros(len(miss_idx), dtype=bool)
     # Keyed on the structure itself (identity): shared L2s dedupe, and
     # iteration follows ascending level order deterministically.
@@ -388,7 +392,10 @@ def hierarchy_touch_batch(hierarchy, sizes: np.ndarray, vas: np.ndarray) -> None
             continue
         l2_hit[rows] = lru_batch_lookup(l2, vpns[miss_idx[rows]])
 
-    _accumulate_misses(hierarchy, miss_idx, miss_sizes, l2_hit, vpns)
+    miss_keys = miss_sizes if keys is None else keys[miss_idx]
+    _accumulate_misses(
+        hierarchy, miss_idx, miss_sizes, miss_keys, l2_hit, vpns
+    )
 
 
 def _seeded_total(initial: float, adds: np.ndarray) -> float:
@@ -404,10 +411,12 @@ def _seeded_total(initial: float, adds: np.ndarray) -> float:
 
 
 def _accumulate_misses(
-    hierarchy, miss_idx, miss_sizes, l2_hit, vpns
+    hierarchy, miss_idx, miss_sizes, miss_keys, l2_hit, vpns
 ) -> None:
     """Fold L1-miss costs into stats/clock/histograms in stream order.
 
+    A walk costs ``hierarchy.walk_table[key]`` cycles and charges the clock
+    that plus ``hierarchy.walk_charge``; it counts under its TLB level.
     The fast path is fully vectorized: integer counters add in bulk and
     float accumulators fold their per-event cost streams with seeded
     ``np.cumsum`` (see :func:`_seeded_total`), preserving the scalar
@@ -423,14 +432,10 @@ def _accumulate_misses(
     tracer = hierarchy._tracer
     trace = tracer is not None and tracer.active
     l2c = float(hierarchy.walk_config.l2_tlb_hit_cycles)
+    charge = hierarchy.walk_charge
+    table = hierarchy.walk_table
     n_levels = hierarchy.n_levels
-    walk_cycles_of = {
-        s: walker.native_walk_cycles(s) for s in range(n_levels)
-    }
     if not trace and (clock is None or not clock._listeners):
-        cyc_lut = np.array(
-            [walk_cycles_of[s] for s in range(n_levels)]
-        )
         walk_mask = ~l2_hit
         walk_sizes = miss_sizes[walk_mask]
         n_l2_hits = len(l2_hit) - len(walk_sizes)
@@ -440,35 +445,52 @@ def _accumulate_misses(
         size_counts = np.bincount(walk_sizes, minlength=n_levels)
         for s in range(n_levels):
             stats.walks_by_size[s] += int(size_counts[s])
-        walk_adds = cyc_lut[walk_sizes]
-        tc_adds = np.where(l2_hit, l2c, cyc_lut[miss_sizes] + l2c)
+        miss_cycles = table[miss_keys]
+        walk_adds = miss_cycles[walk_mask]
+        tc_adds = np.where(l2_hit, l2c, miss_cycles + l2c)
         stats.translation_cycles = _seeded_total(
             stats.translation_cycles, tc_adds
         )
         stats.walk_cycles = _seeded_total(stats.walk_cycles, walk_adds)
         walker.walk_cycles = _seeded_total(walker.walk_cycles, walk_adds)
         if clock is not None:
+            clock_adds = (
+                tc_adds
+                if charge == l2c
+                else np.where(l2_hit, l2c, miss_cycles + charge)
+            )
             # Bit-exact seeded cumsum: only taken when the clock has no
             # listeners (checked above), so no span can miss the jump.
-            clock.now_ns = _seeded_total(clock.now_ns, tc_adds / FREQ_GHZ)  # trd: ignore[TRD006] listener-free fast path advances in one jump
+            clock.now_ns = _seeded_total(clock.now_ns, clock_adds / FREQ_GHZ)  # trd: ignore[TRD006] listener-free fast path advances in one jump
         if h_walk is not None:
             for s in range(n_levels):
                 k = int(size_counts[s])
                 if not k:
                     continue
+                # One level may see several walk values (a nested 4KB
+                # entry comes from any (guest, host) pair with a 4KB side).
                 h = h_walk[s]
-                v = walk_cycles_of[s]
-                h.bucket_counts[bisect_left(h.bounds, v)] += k
+                values = walk_adds[walk_sizes == s]
+                buckets = np.bincount(
+                    np.searchsorted(h.bounds, values, side="left"),
+                    minlength=len(h.bucket_counts),
+                )
+                h.bucket_counts[:] = (buckets + h.bucket_counts).tolist()
                 h.count += k
-                h.sum = _seeded_total(h.sum, np.full(k, v))
-                if h.max is None or v > h.max:
-                    h.max = v
+                h.sum = _seeded_total(h.sum, values)
+                top = float(values.max())
+                if h.max is None or top > h.max:
+                    h.max = top
         return
 
     walks_by_size = stats.walks_by_size
     miss_vpns = vpns[miss_idx]
-    for k, (size, hit2) in enumerate(  # trd: ignore[TRD008] per-event emission path, active only with tracer/clock listeners
-        zip(miss_sizes.tolist(), l2_hit.tolist())
+    cycles_of = table.tolist()
+    key_levels = np.zeros(len(table), dtype=np.int64)
+    key_levels[miss_keys] = miss_sizes  # a walk key fixes its TLB level
+    level_of = key_levels.tolist()
+    for k, (key, hit2) in enumerate(  # trd: ignore[TRD008] per-event emission path, active only with tracer/clock listeners
+        zip(miss_keys.tolist(), l2_hit.tolist())
     ):
         if hit2:
             stats.l2_hits += 1
@@ -476,7 +498,8 @@ def _accumulate_misses(
             if clock is not None:
                 clock.advance(l2c / FREQ_GHZ)
             continue
-        cycles = walk_cycles_of[size]
+        size = level_of[key]
+        cycles = cycles_of[key]
         walker.walks += 1
         walker.walk_cycles += cycles
         stats.walks += 1
@@ -484,7 +507,7 @@ def _accumulate_misses(
         stats.walk_cycles += cycles
         stats.translation_cycles += cycles + l2c
         if clock is not None:
-            clock.advance((cycles + l2c) / FREQ_GHZ)
+            clock.advance((cycles + charge) / FREQ_GHZ)
         if h_walk is not None:
             h_walk[size].observe(cycles)
             if trace:

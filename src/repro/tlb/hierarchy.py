@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.config import FREQ_GHZ, PageGeometry, WalkConfig
 from repro.tlb.tlb import SetAssocTLB
 from repro.tlb.walker import PageWalker
@@ -98,6 +100,15 @@ class TLBHierarchy:
         #: level -> the L2 structure its section feeds
         self._l2_by_level = [self.l2[lvl.tlb.l2] for lvl in geometry.levels]
         self.walker = PageWalker(walk)
+        #: walk key -> cycles of one walk; a native walk's key is its leaf
+        #: level (the batch engine reads it per access, the scalar path
+        #: asks the walker)
+        self.walk_table = np.array(
+            [self.walker.native_walk_cycles(s) for s in geometry.all_levels]
+        )
+        #: cycles a walk charges the clock on top of its own: the L2 probe
+        #: that missed before it
+        self.walk_charge = walk.l2_tlb_hit_cycles
         self.stats = TranslationStats.for_geometry(geometry)
         self._shifts = {
             level: geometry.shift_for(level) for level in geometry.all_levels
@@ -116,9 +127,7 @@ class TLBHierarchy:
         cycles = self._probe(size, vpn)
         if cycles is None:
             cycles = self.walker.native_walk(size)
-            self._walked(
-                size, vpn, cycles, cycles + self.walk_config.l2_tlb_hit_cycles
-            )
+            self._walked(size, vpn, cycles)
         return cycles
 
     def _probe(self, size: int, vpn: int) -> float | None:
@@ -137,8 +146,9 @@ class TLBHierarchy:
             return cycles
         return None
 
-    def _walked(self, size: int, vpn: int, cycles: float, charged: float) -> None:
-        """Account one ``cycles`` walk, charge ``charged``, fill L2 and L1.
+    def _walked(self, size: int, vpn: int, cycles: float) -> None:
+        """Account one ``cycles`` walk, charge it plus :attr:`walk_charge`,
+        fill L2 and L1.
 
         Stats update before the clock advances and the histogram and trace
         event after it: scrapes fire inside ``advance`` and must see this
@@ -150,7 +160,7 @@ class TLBHierarchy:
         stats.walk_cycles += cycles
         stats.translation_cycles += cycles + self.walk_config.l2_tlb_hit_cycles
         if self._clock is not None:
-            self._clock.advance(charged / FREQ_GHZ)
+            self._clock.advance((cycles + self.walk_charge) / FREQ_GHZ)
         if self._h_walk is not None:
             self._h_walk[size].observe(cycles)
             tr = self._tracer

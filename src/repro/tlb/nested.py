@@ -11,6 +11,8 @@ costs up to (nG+1)*(nH+1)-1 memory accesses: 24 / 15 / 8 for 4K+4K / 2M+2M /
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.config import PageGeometry, WalkConfig
 from repro.tlb.hierarchy import TLBHierarchy
 from repro.vm.pagetable import Mapping, PageTable
@@ -21,7 +23,9 @@ class NestedTranslationUnit(TLBHierarchy):
 
     Construction, shootdowns, flushes, stats resets, walk histograms and
     trace events are the native hierarchy's; only the per-access step
-    differs.
+    differs.  As data (:meth:`walk_keys`), that step is a walk key per
+    access over its two leaf levels, cached at TLB level ``min(guest,
+    host)``; :attr:`walk_table` maps each key to its 2D walk.
     """
 
     def __init__(
@@ -33,10 +37,27 @@ class NestedTranslationUnit(TLBHierarchy):
         obs=None,
     ) -> None:
         super().__init__(walk, geometry, obs=obs)
+        levels = geometry.all_levels
+        self.walk_table = np.array(
+            [self.walker.nested_walk_cycles(g, h) for g in levels for h in levels]
+        )
+        # A nested walk charges the walk alone, without the L2 probe cycles
+        # a native walk adds: a known under-charge, kept because the
+        # recorded guest digests hash the guest clock (ROADMAP item 3).
+        self.walk_charge = 0
         self.host_table = host_table
         #: host virtual address where the guest-physical range is mapped
         #: (the VM process's RAM allocation in the host)
         self.hva_base = hva_base
+
+    def walk_keys(
+        self, guest_levels: np.ndarray, host_levels: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each access's TLB level and walk key, from its two leaf levels."""
+        return (
+            np.minimum(guest_levels, host_levels),
+            guest_levels * self.n_levels + host_levels,
+        )
 
     def gpa_of(self, guest_mapping: Mapping, va: int) -> int:
         """Guest-physical address ``va`` resolves to."""
@@ -70,8 +91,5 @@ class NestedTranslationUnit(TLBHierarchy):
             cycles = self.walker.nested_walk(
                 guest_mapping.page_size, host_mapping.page_size
             )
-            # Charges the walk alone, without the L2 probe cycles a native
-            # walk adds: a known under-charge, kept because the recorded
-            # guest digests hash the guest clock (ROADMAP item 3).
-            self._walked(size, vpn, cycles, cycles)
+            self._walked(size, vpn, cycles)
         return cycles

@@ -64,8 +64,8 @@ class PageWalker:
         self.walk_cycles += cycles
         return cycles
 
-    def nested_walk(self, guest_size: int, host_size: int) -> float:
-        """Cycles for one 2D walk with the given guest/host leaf sizes.
+    def nested_walk_cycles(self, guest_size: int, host_size: int) -> float:
+        """Cycles one 2D walk with the given guest/host leaf sizes costs (pure).
 
         The leaf-cache shortcut applies when *both* dimensions' leaves are
         cached (the nested walk needs the guest leaf and its EPT leaf).
@@ -79,12 +79,16 @@ class PageWalker:
             self.config.leaf_cached_prob(guest_size),
             self.config.leaf_cached_prob(host_size),
         )
-        cycles = (
+        return (
             self.expected_accesses(
                 accesses, leaf_cached, self.config.nested_pwc_hit_rate
             )
             * self.config.mem_access_cycles
         )
+
+    def nested_walk(self, guest_size: int, host_size: int) -> float:
+        """Cycles for one 2D walk with the given guest/host leaf sizes."""
+        cycles = self.nested_walk_cycles(guest_size, host_size)
         self.walks += 1
         self.walk_cycles += cycles
         return cycles

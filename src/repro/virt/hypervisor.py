@@ -14,6 +14,8 @@ splitting a covering EPT huge page first, exactly like KVM EPT splitting.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.sim.system import System
 
 
@@ -42,6 +44,14 @@ class Hypervisor:
         if not 0 <= gpa < self.guest_bytes:
             raise ValueError(f"gPA {gpa:#x} outside guest memory")
         return self.hva_base + gpa
+
+    def hvas(self, gpas: np.ndarray) -> np.ndarray:
+        """:meth:`hva` over an int64 array; an out-of-range gPA raises the
+        same ``ValueError``."""
+        outside = (gpas < 0) | (gpas >= self.guest_bytes)
+        if outside.any():
+            self.hva(int(gpas[outside.argmax()]))
+        return self.hva_base + gpas
 
     # -- EPT faults ---------------------------------------------------------
     def ensure_backed(self, gpa: int) -> float:

@@ -19,7 +19,8 @@ events.
 from __future__ import annotations
 
 from repro.config import MachineConfig
-from repro.sim.batch import TouchResult
+from repro.sim import batch
+from repro.sim.batch import Segment, TouchResult, frame_addresses
 from repro.sim.process import Process
 from repro.sim.system import System
 from repro.tlb.nested import NestedTranslationUnit
@@ -28,12 +29,6 @@ from repro.virt.hypervisor import Hypervisor
 
 class GuestSystem(System):
     """A System whose physical memory is the VM's guest-physical range."""
-
-    #: every guest access does per-access work outside the native contract
-    #: (EPT backing, the host-table lookup of the nested walk), so
-    #: ``touch_batch`` stays on the scalar loop — the BatchResult contract
-    #: is unchanged
-    batch_hot_path = False
 
     def __init__(
         self,
@@ -76,14 +71,48 @@ class GuestSystem(System):
         process.record_touch(va)
         cycles = process.tlb.access(va, mapping)
         self._accesses_since_daemon += 1
-        if self._accesses_since_daemon >= self.daemon_period_accesses:
-            self.run_daemons()
-            # The host's daemons (khugepaged etc. in the hypervisor) run on
-            # host CPUs; give them a share of the same cadence.
-            self.hypervisor.host.run_daemons(
-                self.daemon_budget_ns * self.host_daemon_share
-            )
+        self._run_due_daemons()
         return TouchResult(cycles, faulted=faulted, page_size=mapping.page_size)
+
+    def _run_due_daemons(self) -> bool:
+        if not super()._run_due_daemons():
+            return False
+        # The host's daemons (khugepaged etc. in the hypervisor) run on
+        # host CPUs; give them a share of the same cadence.
+        self.hypervisor.host.run_daemons(
+            self.daemon_budget_ns * self.host_daemon_share
+        )
+        return True
+
+    def _batch_segment(self, process: Process, vas) -> Segment:
+        """Guest walk, each access's gPA, then the EPT walk over its hVA.
+
+        The segment ends at the first guest fault or the first gPA the
+        host has not backed, whichever comes first; :meth:`touch` handles
+        that access.  Committed accesses touch the host's backing pages
+        and set both tables' accessed bits, as the scalar path does.
+        """
+        hv = self.hypervisor
+        # Looked up on the module, as System does: a wrapper installed
+        # there (benchmarks/perf/layer_timer.py) sees both walks.
+        sizes, fault_at, mapped_vpns = batch.translate_segment(
+            process.pagetable, vas
+        )
+        stop = len(vas) if fault_at is None else fault_at
+        hvas = hv.hvas(frame_addresses(process.pagetable, vas[:stop], sizes[:stop]))
+        host_sizes, unbacked_at, host_vpns = batch.translate_segment(
+            hv.host_table, hvas
+        )
+        levels, keys = process.tlb.walk_keys(sizes[:stop], host_sizes)
+        return Segment(
+            levels,
+            keys,
+            fault_at if unbacked_at is None else unbacked_at,
+            [
+                (process, vas, sizes, mapped_vpns),
+                (hv.vm_process, hvas, host_sizes, host_vpns),
+            ],
+        )
 
     def _ensure_backed(self, gpa: int) -> None:
         """EPT-populate ``gpa``, charging host fault time to the guest axis.

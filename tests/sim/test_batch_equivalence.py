@@ -6,7 +6,8 @@ scalar loop produces — every counter, every TLB set's LRU ordering,
 every walk-latency histogram bucket, the simulated clock, and the
 page-table accessed bits.  :func:`repro.sim.bench.state_fingerprint`
 captures all of it; these tests compare fingerprints across policies,
-daemon cadences, and fault-heavy streams.
+daemon cadences, and fault-heavy streams, including the fault-dense
+stretches the engine hands to the scalar ``touch``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,45 @@ def assert_fingerprints_equal(batch_fp, scalar_fp) -> None:
     assert not mismatched, f"batched path diverged on: {mismatched}"
 
 
+class EngineSpy:
+    """Counts the ``touch_batch`` accesses that run in scalar stretches.
+
+    The first ``touch`` after a cut segment translation may be the access
+    that cut it, so it is not counted; every other ``touch`` runs in a
+    stretch.  Also counts the daemon quanta that run inside those.
+    """
+
+    def __init__(self, system) -> None:
+        self.stretch_touches = 0
+        self.stretch_daemons = 0
+        self._after_cut = False
+        self._in_stretch = False
+        touch, segment = system.touch, system._batch_segment
+        run_daemons = system.run_daemons
+
+        def spy_segment(process, vas):
+            seg = segment(process, vas)
+            self._after_cut = seg.cut is not None
+            return seg
+
+        def spy_touch(process, va):
+            self._in_stretch = not self._after_cut
+            self._after_cut = False
+            self.stretch_touches += self._in_stretch
+            try:
+                return touch(process, va)
+            finally:
+                self._in_stretch = False
+
+        def spy_daemons(*args, **kwargs):
+            self.stretch_daemons += self._in_stretch
+            return run_daemons(*args, **kwargs)
+
+        system._batch_segment = spy_segment
+        system.touch = spy_touch
+        system.run_daemons = spy_daemons
+
+
 @pytest.mark.parametrize(
     "policy", [TridentPolicy, THPPolicy, Baseline4KPolicy, HawkEyePolicy]
 )
@@ -64,6 +104,34 @@ def test_aggressive_daemon_cadence_equivalence(policy):
     batch_fp, _ = _run(policy, period=333, batched=True)
     scalar_fp, _ = _run(policy, period=333, batched=False)
     assert_fingerprints_equal(batch_fp, scalar_fp)
+
+
+@pytest.mark.parametrize(
+    "policy", [TridentPolicy, THPPolicy, Baseline4KPolicy, HawkEyePolicy]
+)
+def test_first_touch_pass_runs_scalar_stretches(policy):
+    """One access per base page on fragmented memory faults every few
+    accesses: the engine runs such stretches through the scalar ``touch``,
+    daemon quanta included, and still leaves the scalar loop's state."""
+
+    def run(batched: bool):
+        system = System(default_machine(16), policy, seed=5)
+        system.fragment()
+        system.daemon_period_accesses = 333
+        system.batch_hot_path = batched
+        process = system.create_process()
+        base = system.sys_mmap(process, FOOTPRINT)
+        spy = EngineSpy(system)
+        system.touch_batch(
+            process, base + np.arange(0, FOOTPRINT, 4096, dtype=np.int64)
+        )
+        return state_fingerprint(system, process), spy
+
+    batch_fp, spy = run(batched=True)
+    scalar_fp, _ = run(batched=False)
+    assert_fingerprints_equal(batch_fp, scalar_fp)
+    assert spy.stretch_touches > 0
+    assert spy.stretch_daemons > 0
 
 
 def test_batch_result_matches_stats_delta():
@@ -142,8 +210,9 @@ def test_touch_batch_accepts_plain_lists_and_empty():
 
 
 def test_opt_out_subclass_uses_scalar_loop():
-    """batch_hot_path=False (e.g. GuestSystem's EPT backing) must still
-    produce the identical BatchResult through the per-access fallback."""
+    """batch_hot_path=False (the scalar reference ``repro bench`` and the
+    equivalence tests replay; no subclass opts out) produces the
+    BatchResult through the per-access loop."""
     system = System(default_machine(16), TridentPolicy, seed=5)
     system.batch_hot_path = False
     process = system.create_process()

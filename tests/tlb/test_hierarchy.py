@@ -12,6 +12,7 @@ from repro.config import (
     TLBSection,
     WalkConfig,
 )
+from repro.geometries import GEOMETRY_PRESETS
 from repro.obs import Observability
 from repro.tlb.hierarchy import TLBHierarchy
 from repro.tlb.nested import NestedTranslationUnit
@@ -230,3 +231,21 @@ class TestNestedTranslation:
         assert [e["size"] for e in walks] == [G.label_for(LVL_MID)]
         # The guest clock is charged the walk alone.
         assert obs.clock.now_ns == cycles / FREQ_GHZ
+
+
+@pytest.mark.parametrize("preset", ["x86", "sv-napot", "arm16k"])
+def test_walk_tables_equal_the_walker(preset):
+    """The batch engine's key -> cycles tables hold the scalar walker's
+    floats bit for bit: native keys are levels, nested keys pair levels."""
+    machine = GEOMETRY_PRESETS[preset].machine(4)
+    geometry, walk = machine.geometry, machine.walk
+    levels = geometry.all_levels
+    walker = PageWalker(walk)
+    native = TLBHierarchy(walk, geometry)
+    assert native.walk_table.tolist() == [walker.native_walk(s) for s in levels]
+    assert native.walk_charge == walk.l2_tlb_hit_cycles
+    nested = NestedTranslationUnit(walk, geometry, host_table=PageTable(geometry))
+    assert nested.walk_table.tolist() == [
+        walker.nested_walk(g, h) for g in levels for h in levels
+    ]
+    assert nested.walk_charge == 0

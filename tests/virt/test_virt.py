@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.config import default_machine
+from repro.core.baseline4k import Baseline4KPolicy
 from repro.core.thp import THPPolicy
 from repro.core.trident import TridentPolicy
+from repro.obs import Observability
+from repro.sim import batch as sim_batch
 from repro.sim.bench import state_fingerprint
 from repro.virt.hypercall import PVExchangeInterface
 from repro.virt.machine import VirtualMachine
@@ -179,30 +182,128 @@ class TestTridentPV:
             assert policy.stats.promo_copy_bytes > 0
 
 
+def _pv_guest(kernel):
+    iface = PVExchangeInterface(kernel.hypervisor, kernel.cost, obs=kernel.obs)
+    return TridentPVPolicy(kernel, iface)
+
+
+GRID_GUESTS = {
+    "Trident": TridentPolicy,
+    "Trident-pv": _pv_guest,
+    "2MB-THP": THPPolicy,
+    "4KB": Baseline4KPolicy,
+}
+GRID_HOSTS = {"Trident": TridentPolicy, "2MB-THP": THPPolicy, "4KB": Baseline4KPolicy}
+GRID_OBSERVERS = {
+    "off": lambda: None,
+    "trace": lambda: Observability(trace_subsystems="all"),
+    "timeline": lambda: Observability(timeline=True),
+}
+
+
+def _guest_run(guest, host, period, observer, batched):
+    """One grid cell: the guest and host state a mixed stream leaves.
+
+    The heap grows one mid page at a time (guest Trident maps mid pages its
+    daemons later promote, through exchanges under Trident-pv).  Then a
+    first-touch pass (guest and EPT faults, scalar stretches), a uniform
+    stream (TLB capacity walks inside vectorized segments) and a zipf
+    stream run as several ``touch_batch`` calls.
+    """
+    obs = GRID_OBSERVERS[observer]()
+    vm = VirtualMachine(
+        GUEST, HOST, GRID_GUESTS[guest], GRID_HOSTS[host], seed=2, guest_obs=obs
+    )
+    system = vm.guest
+    system.daemon_period_accesses = period
+    system.batch_hot_path = batched
+    p = vm.create_guest_process("g")
+    footprint = 2 * LARGE
+    addr = system.sys_mmap(p, MID)
+    system.touch_batch(p, [addr])
+    for _ in range(footprint // MID - 1):
+        system.touch_batch(p, [system.sys_mmap(p, MID)])
+    rng = np.random.default_rng(42)
+    stream = np.concatenate(
+        [
+            addr + np.arange(0, footprint, BASE),
+            addr + rng.integers(0, footprint, 3000),
+            zipf(rng, addr, footprint, 3000),
+        ]
+    )
+    for chunk in np.array_split(stream, 4):
+        system.touch_batch(p, chunk)
+    hv = vm.hypervisor
+    host_stats = vm.host.policy.stats
+    state = {
+        "guest": state_fingerprint(system, p),
+        "host": (
+            vm.host.obs.clock.now_ns,
+            host_stats.fault_ns,
+            host_stats.daemon_ns,
+            hv.ept_faults,
+        ),
+        "host_touched": sorted(hv.vm_process.touched_pages),
+        "host_mappings": sorted(
+            (m.va, m.pfn, m.accessed) for m in hv.host_table.iter_mappings()
+        ),
+    }
+    if obs is not None:
+        state["events"] = list(obs.tracer.events())
+        state["timeline"] = obs.timeline_export()
+    return state, vm
+
+
 class TestGuestPathEquivalence:
     """``touch_batch`` on a guest leaves the state a ``touch`` loop does.
 
-    Guests run the scalar loop on both paths today; this is the gate a
-    vectorized guest path must keep passing.
+    Guests run the batch engine: the grid crosses guest and host policies,
+    two daemon cadences and the observers, and compares the guest's
+    fingerprint, the host's clock, fault and daemon time, EPT faults,
+    touched pages and mappings, and the trace and timeline.
     """
 
-    @staticmethod
-    def _fingerprint(batched: bool) -> dict:
-        vm, p = make_vm()
-        footprint = 2 * LARGE
-        addr = vm.guest.sys_mmap(p, footprint)
-        stream = zipf(np.random.default_rng(42), addr, footprint, 6000)
-        vm.guest.daemon_period_accesses = 2000
-        if batched:
-            vm.guest.touch_batch(p, stream)
-        else:
-            for va in stream:
-                vm.guest.touch(p, int(va))
-        return state_fingerprint(vm.guest, p)
+    @pytest.mark.parametrize("observer", list(GRID_OBSERVERS))
+    @pytest.mark.parametrize("period", [333, 20_000])
+    @pytest.mark.parametrize("host", list(GRID_HOSTS))
+    @pytest.mark.parametrize("guest", list(GRID_GUESTS))
+    def test_batch_and_scalar_match(self, guest, host, period, observer):
+        batch, _ = _guest_run(guest, host, period, observer, batched=True)
+        scalar, _ = _guest_run(guest, host, period, observer, batched=False)
+        mismatched = [k for k in batch if batch[k] != scalar[k]]
+        assert not mismatched, f"batched guest path diverged on: {mismatched}"
+        guest_fp = batch["guest"]
+        assert sum(guest_fp["walks_by_size"].values()) > 0
+        assert any(h[0] for k, h in guest_fp.items() if k.startswith("hist:"))
 
-    def test_batch_and_scalar_fingerprints_match(self):
-        batch = self._fingerprint(batched=True)
-        scalar = self._fingerprint(batched=False)
-        assert batch == scalar
-        assert sum(batch["walks_by_size"].values()) > 0
-        assert any(h[0] for k, h in batch.items() if k.startswith("hist:"))
+    @pytest.mark.parametrize(
+        "guest, host, covers",
+        [
+            ("4KB", "4KB", "capacity walks inside segments"),
+            ("Trident", "4KB", "host page smaller, EPT faults mid-batch"),
+            ("Trident-pv", "Trident", "pv exchanges"),
+        ],
+    )
+    def test_grid_exercises_the_batch_paths(self, monkeypatch, guest, host, covers):
+        """The grid's streams reach what the equivalence must hold for."""
+        seen = {"walks": 0, "split": 0}
+        kernel = sim_batch.hierarchy_touch_batch
+
+        def counting(hierarchy, levels, vas, keys=None):
+            walks = hierarchy.stats.walks
+            kernel(hierarchy, levels, vas, keys)
+            seen["walks"] += hierarchy.stats.walks - walks
+            n = hierarchy.n_levels
+            seen["split"] += int(np.count_nonzero(keys // n > keys % n))
+
+        monkeypatch.setattr(sim_batch, "hierarchy_touch_batch", counting)
+        _, vm = _guest_run(guest, host, 333, "off", batched=True)
+        if covers == "capacity walks inside segments":
+            assert seen["walks"] > 0
+        elif covers == "pv exchanges":
+            assert vm.guest.policy.pv.exchanges > 0
+        else:
+            # More EPT faults than guest faults: the rest were unbacked
+            # gPAs inside guest pages that were already mapped.
+            assert seen["split"] > 0
+            assert vm.hypervisor.ept_faults > vm.guest.processes[0].faults
