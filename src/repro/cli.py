@@ -53,7 +53,7 @@ import argparse
 import sys
 
 from repro.config import SCALE_FACTOR
-from repro.obs.options import add_obs_args, obs_options_from_args
+from repro.obs.options import add_obs_args, interval_ms_arg, obs_options_from_args
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -489,7 +489,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write one Prometheus scrape stream per shard under DIR",
     )
     tenants.add_argument(
-        "--telemetry-interval-ms", type=float, default=1.0, metavar="MS",
+        "--telemetry-interval-ms", type=interval_ms_arg, default=1.0,
+        metavar="MS",
         help="simulated milliseconds between scrape frames (default: 1)",
     )
 
@@ -550,7 +551,7 @@ def _add_service_telemetry_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--telemetry-interval-ms",
-        type=float,
+        type=interval_ms_arg,
         default=1.0,
         metavar="MS",
         help="simulated milliseconds between scrape frames (default: 1)",
@@ -1268,6 +1269,7 @@ def _cmd_tenants(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json
 
+    from repro.obs.clock import interval_ns
     from repro.service.fleet import ServiceConfig, TenantSpec
 
     try:
@@ -1316,6 +1318,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if k in spec
         }
         config = ServiceConfig(tenants=tenants, **fields)
+        interval_ns(config.telemetry_interval_ms)  # as the flag's type checks it
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: {args.config} is not a valid fleet spec: {exc!r}")
         return 2

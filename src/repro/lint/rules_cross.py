@@ -231,8 +231,8 @@ class ClockDiscipline(Rule):
                             node.lineno,
                             "direct write to <clock>.now_ns outside "
                             "repro/obs/clock.py; charge costs via "
-                            "clock.advance so listeners and spans observe "
-                            "them",
+                            "clock.advance so periodic tasks fire at "
+                            "their deadlines",
                         )
 
     # -- shared machinery ---------------------------------------------------

@@ -28,6 +28,8 @@ from __future__ import annotations
 import argparse
 from dataclasses import dataclass
 
+from repro.obs.clock import interval_ns
+
 
 @dataclass(frozen=True)
 class ObsOptions:
@@ -86,6 +88,22 @@ class ObsOptions:
             telemetry_out=self.telemetry_out if primary else None,
             telemetry_interval_ms=self.telemetry_interval_ms,
         )
+
+
+def interval_ms_arg(text: str) -> float:
+    """The argparse ``type`` of every ``--telemetry-interval-ms`` flag.
+
+    Applies the clock's period check (:func:`repro.obs.clock.interval_ns`)
+    at parse time, so zero, negative, NaN and infinite periods exit 2
+    with one line instead of failing in the run (or, for NaN, scraping
+    on every clock advance).
+    """
+    try:
+        value = float(text)
+        interval_ns(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 def add_obs_args(
@@ -195,7 +213,7 @@ def add_obs_args(
     )
     parser.add_argument(
         "--telemetry-interval-ms",
-        type=float,
+        type=interval_ms_arg,
         default=1.0,
         metavar="MS",
         help="simulated milliseconds between scrape frames (default: 1)",

@@ -10,11 +10,12 @@ values quoted and backslash-escaped.
 
 Three consumers share the renderer:
 
-* :class:`TelemetryScraper` — a :class:`repro.obs.clock.SimClock`
-  listener that appends one *frame* per simulated-time interval to a
-  :class:`ScrapeFileSink`.  Frames are a pure function of the metric
-  stream, so a seeded run emits byte-identical frames at any ``--jobs``
-  count (the file-sink mode CI byte-compares).
+* :class:`TelemetryScraper` — a periodic task on the
+  :class:`repro.obs.clock.SimClock` that appends one *frame* per
+  simulated-time interval to a :class:`ScrapeFileSink`.  Frames are a
+  pure function of the metric stream, so a seeded run emits
+  byte-identical frames at any ``--jobs`` count (the file-sink mode CI
+  byte-compares).
 * the live HTTP endpoint (:mod:`repro.obs.telemetry.endpoint`) — serves
   the newest frame to real scrapers while a fleet runs.
 * ``repro metrics FILE --format prom`` — renders an existing
@@ -33,6 +34,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Iterable
 
+from repro.obs.clock import interval_ns
 from repro.obs.metrics import escape_label_value, parse_key, render_key
 
 #: marks the end of one complete scrape frame in a stream file (the
@@ -423,10 +425,12 @@ class ScrapeFileSink:
 class TelemetryScraper:
     """Scrape the registry on a fixed simulated-time cadence.
 
-    A :class:`SimClock` listener (the same attachment discipline as
-    :class:`repro.obs.timeline.TimelineSampler`): every ``interval_ms``
-    of simulated time, snapshot the registry, render one frame into the
+    A periodic task on the :class:`SimClock`, like
+    :class:`repro.obs.timeline.TimelineSampler`: every ``interval_ms`` of
+    simulated time, snapshot the registry, render one frame into the
     sink, and hand the snapshot to the alert engine when one is wired.
+    Attached after the machine's sampler, it fires after it at a shared
+    instant, so a frame counts that instant's sample.
     Everything is driven by the simulated clock — a seeded run scrapes
     at identical instants regardless of host scheduling, which is what
     makes frame streams byte-comparable across ``--jobs``.
@@ -442,26 +446,21 @@ class TelemetryScraper:
         alert_engine=None,
         on_frame: Callable[[int, float, str], None] | None = None,
     ) -> None:
-        if interval_ms <= 0:
-            raise ValueError(f"interval_ms must be positive, got {interval_ms}")
         self.clock = clock
         self.registry = registry
         self.sink = sink
-        self.interval_ns = interval_ms * 1e6
+        self.interval_ns = interval_ns(interval_ms)
         self.catalog = catalog
         self.alert_engine = alert_engine
         self.on_frame = on_frame
         self.frames = 0
-        self._next_due_ns = 0.0
         self._closed = False
         self._c_frames = registry.counter("telemetry_frames_total")
-        clock.add_listener(self._on_advance)
+        clock.attach(self)
 
-    def _on_advance(self, now_ns: float) -> None:
-        if now_ns < self._next_due_ns:
-            return
+    def fire(self, now_ns: float) -> None:
+        """The clock's periodic call (:class:`repro.obs.clock.PeriodicTask`)."""
         self.scrape(now_ns)
-        self._next_due_ns = now_ns + self.interval_ns
 
     def scrape(self, now_ns: float | None = None) -> str:
         """Take one frame at the current instant; returns the frame text."""
@@ -485,5 +484,5 @@ class TelemetryScraper:
             return
         self._closed = True
         self.scrape()
-        self.clock.remove_listener(self._on_advance)
+        self.clock.detach(self)
         self.sink.close()

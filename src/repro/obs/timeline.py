@@ -2,11 +2,11 @@
 
 The paper's figures are functions of time — fragmentation decaying as
 compaction works, the zero-fill pool draining under a fault burst — but
-counters only give end-of-run totals.  A :class:`TimelineSampler` hangs
-off the :class:`repro.obs.clock.SimClock` and snapshots a set of
-configured gauges (callables reading authoritative simulator state, the
-same sources the metric collectors mirror) every ``interval_ms`` of
-*simulated* time into bounded :class:`TimeSeries`.
+counters only give end-of-run totals.  A :class:`TimelineSampler` is a
+periodic task on the :class:`repro.obs.clock.SimClock`: every
+``interval_ms`` of *simulated* time it snapshots a set of configured
+gauges (callables reading authoritative simulator state, the same
+sources the metric collectors mirror) into bounded :class:`TimeSeries`.
 
 Boundedness uses flight-recorder decimation: when a series hits
 ``max_points`` it drops every second point and doubles its sampling
@@ -19,6 +19,8 @@ series byte-for-byte regardless of wall-clock scheduling.
 from __future__ import annotations
 
 from typing import Callable
+
+from repro.obs.clock import interval_ns
 
 
 class TimeSeries:
@@ -56,7 +58,12 @@ class TimeSeries:
 
 
 class TimelineSampler:
-    """Snapshot configured gauges every N simulated milliseconds."""
+    """Snapshot configured gauges every N simulated milliseconds.
+
+    The sampler attaches itself to the clock with its first series, so
+    one without series never fires.  Decimation doubles ``interval_ns``
+    while firing; the clock reads it afterwards for the next deadline.
+    """
 
     def __init__(
         self,
@@ -65,32 +72,28 @@ class TimelineSampler:
         max_points: int = 2048,
         metrics=None,
     ) -> None:
-        if interval_ms <= 0:
-            raise ValueError(f"interval_ms must be positive, got {interval_ms}")
         self.clock = clock
-        self.interval_ns = interval_ms * 1e6
+        self.interval_ns = interval_ns(interval_ms)
         self.max_points = max_points
         self._series: list[tuple[TimeSeries, Callable[[], float]]] = []
-        self._next_due_ns = 0.0
         self.samples = 0
         self._c_samples = None
         if metrics is not None:
             self._c_samples = metrics.counter("timeline_samples_total")
-        clock.add_listener(self._on_advance)
 
     def add_series(
         self, name: str, fn: Callable[[], float], unit: str = ""
     ) -> TimeSeries:
         """Register a gauge; ``fn`` is polled at every sampling instant."""
+        if not self._series:
+            self.clock.attach(self)
         series = TimeSeries(name, unit=unit, max_points=self.max_points)
         self._series.append((series, fn))
         return series
 
-    def _on_advance(self, now_ns: float) -> None:
-        if now_ns < self._next_due_ns or not self._series:
-            return
+    def fire(self, now_ns: float) -> None:
+        """The clock's periodic call (:class:`repro.obs.clock.PeriodicTask`)."""
         self.sample(now_ns)
-        self._next_due_ns = now_ns + self.interval_ns
 
     def sample(self, now_ns: float | None = None) -> None:
         """Take one sample of every series at the current instant."""

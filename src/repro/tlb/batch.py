@@ -60,6 +60,12 @@ import numpy as np
 from repro.config import FREQ_GHZ
 from repro.tlb.tlb import SetAssocTLB
 
+#: calls with fewer L1 misses fold them in the per-event loop of
+#: :func:`_accumulate_misses`: below this count the vectorized fold's fixed
+#: numpy cost exceeds the loop's cost per miss (break-even measured in
+#: ``docs/performance.md``)
+_PER_EVENT_MISSES = 48
+
 #: per-call budget (scaled by stream length) of long-window elements the
 #: vectorized first-occurrence counts may process; real streams stay far
 #: below it — only adversarial overlap patterns exceed it, and those fall
@@ -417,25 +423,42 @@ def _accumulate_misses(
 
     A walk costs ``hierarchy.walk_table[key]`` cycles and charges the clock
     that plus ``hierarchy.walk_charge``; it counts under its TLB level.
-    The fast path is fully vectorized: integer counters add in bulk and
-    float accumulators fold their per-event cost streams with seeded
-    ``np.cumsum`` (see :func:`_seeded_total`), preserving the scalar
-    path's accumulation order bit-for-bit.  When tracing is active or the
-    clock has advancement listeners (timeline sampling), the per-event
-    loop runs instead so event emission and listener callbacks fire at
-    the same points as the scalar path.
+    The fold is chosen by its input.  The vectorized fold adds integer
+    counters in bulk and folds each float accumulator's per-event cost
+    stream with seeded ``np.cumsum`` (see :func:`_seeded_total`),
+    preserving the scalar path's accumulation order bit-for-bit, and
+    commits the clock with one ``advance_to``.  The per-event loop runs
+    instead when
+
+    * the ``tlb`` trace subsystem is on: it emits one event per walk;
+    * the charges reach the clock's ``next_due_ns``: a periodic task
+      fires between two of them, where the scalar path fires it;
+    * there are fewer than :data:`_PER_EVENT_MISSES` misses: the loop
+      is cheaper there.
     """
     stats = hierarchy.stats
     walker = hierarchy.walker
     clock = hierarchy._clock
     h_walk = hierarchy._h_walk
     tracer = hierarchy._tracer
-    trace = tracer is not None and tracer.active
+    trace = tracer is not None and tracer.is_enabled("tlb")
     l2c = float(hierarchy.walk_config.l2_tlb_hit_cycles)
     charge = hierarchy.walk_charge
     table = hierarchy.walk_table
     n_levels = hierarchy.n_levels
-    if not trace and (clock is None or not clock._listeners):
+    vectorized = not trace and len(l2_hit) >= _PER_EVENT_MISSES
+    if vectorized:
+        miss_cycles = table[miss_keys]
+        tc_adds = np.where(l2_hit, l2c, miss_cycles + l2c)
+        if clock is not None:
+            clock_adds = (
+                tc_adds
+                if charge == l2c
+                else np.where(l2_hit, l2c, miss_cycles + charge)
+            )
+            end_ns = _seeded_total(clock.now_ns, clock_adds / FREQ_GHZ)
+            vectorized = end_ns < clock.next_due_ns
+    if vectorized:
         walk_mask = ~l2_hit
         walk_sizes = miss_sizes[walk_mask]
         n_l2_hits = len(l2_hit) - len(walk_sizes)
@@ -445,23 +468,14 @@ def _accumulate_misses(
         size_counts = np.bincount(walk_sizes, minlength=n_levels)
         for s in range(n_levels):
             stats.walks_by_size[s] += int(size_counts[s])
-        miss_cycles = table[miss_keys]
         walk_adds = miss_cycles[walk_mask]
-        tc_adds = np.where(l2_hit, l2c, miss_cycles + l2c)
         stats.translation_cycles = _seeded_total(
             stats.translation_cycles, tc_adds
         )
         stats.walk_cycles = _seeded_total(stats.walk_cycles, walk_adds)
         walker.walk_cycles = _seeded_total(walker.walk_cycles, walk_adds)
         if clock is not None:
-            clock_adds = (
-                tc_adds
-                if charge == l2c
-                else np.where(l2_hit, l2c, miss_cycles + charge)
-            )
-            # Bit-exact seeded cumsum: only taken when the clock has no
-            # listeners (checked above), so no span can miss the jump.
-            clock.now_ns = _seeded_total(clock.now_ns, clock_adds / FREQ_GHZ)  # trd: ignore[TRD006] listener-free fast path advances in one jump
+            clock.advance_to(end_ns)
         if h_walk is not None:
             for s in range(n_levels):
                 k = int(size_counts[s])
@@ -489,7 +503,7 @@ def _accumulate_misses(
     key_levels = np.zeros(len(table), dtype=np.int64)
     key_levels[miss_keys] = miss_sizes  # a walk key fixes its TLB level
     level_of = key_levels.tolist()
-    for k, (key, hit2) in enumerate(  # trd: ignore[TRD008] per-event emission path, active only with tracer/clock listeners
+    for k, (key, hit2) in enumerate(  # trd: ignore[TRD008] per-event fold: tlb tracing, a deadline among the charges, or fewer misses than _PER_EVENT_MISSES
         zip(miss_keys.tolist(), l2_hit.tolist())
     ):
         if hit2:

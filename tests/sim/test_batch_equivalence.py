@@ -6,8 +6,8 @@ scalar loop produces — every counter, every TLB set's LRU ordering,
 every walk-latency histogram bucket, the simulated clock, and the
 page-table accessed bits.  :func:`repro.sim.bench.state_fingerprint`
 captures all of it; these tests compare fingerprints across policies,
-daemon cadences, and fault-heavy streams, including the fault-dense
-stretches the engine hands to the scalar ``touch``.
+daemon cadences, observers, and fault-heavy streams, including the
+fault-dense stretches the engine hands to the scalar ``touch``.
 """
 
 from __future__ import annotations
@@ -17,8 +17,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.sim.batch as sim_batch
 from repro.config import default_machine
 from repro.core import Baseline4KPolicy, HawkEyePolicy, THPPolicy, TridentPolicy
+from repro.obs import Observability
+from repro.obs.telemetry import TelemetryScraper
 from repro.sim.batch import BatchResult, TouchResult
 from repro.sim.bench import state_fingerprint
 from repro.sim.system import System
@@ -29,8 +32,40 @@ BASE, MID, LARGE = 0, 1, 2  # three-tier level indices (x86-shaped test geometry
 FOOTPRINT = 16 * 1024 * 1024
 
 
-def _run(policy, period: int, batched: bool, n: int = 60_000):
-    system = System(default_machine(16), policy, seed=5)
+class FrameSink:
+    """In-memory scrape sink: the frames a scraper renders."""
+
+    def __init__(self) -> None:
+        self.frames: list[str] = []
+
+    def emit(self, frame_text: str) -> None:
+        self.frames.append(frame_text)
+
+    def close(self) -> None:
+        pass
+
+
+def _telemetry_observer() -> Observability:
+    """The timeline plus a scraper every 0.02 simulated ms: short enough
+    that scrape deadlines fall inside the TLB kernel's calls."""
+    obs = Observability(timeline=True)
+    obs.scraper = TelemetryScraper(
+        obs.clock, obs.metrics, FrameSink(), interval_ms=0.02
+    )
+    return obs
+
+
+#: the observer axis: each builds a fresh bundle for one run
+OBSERVERS = {
+    "off": lambda: None,
+    "trace": lambda: Observability(trace_subsystems="all"),
+    "timeline": lambda: Observability(timeline=True),
+    "telemetry": _telemetry_observer,
+}
+
+
+def _run(policy, period: int, batched: bool, n: int = 60_000, obs=None):
+    system = System(default_machine(16), policy, seed=5, obs=obs)
     system.daemon_period_accesses = period
     system.batch_hot_path = batched
     process = system.create_process()
@@ -87,14 +122,53 @@ class EngineSpy:
 
 
 @pytest.mark.parametrize(
-    "policy", [TridentPolicy, THPPolicy, Baseline4KPolicy, HawkEyePolicy]
+    "policy, observer",
+    [
+        pytest.param(
+            policy,
+            observer,
+            id=policy.__name__ + ("" if observer == "off" else f"-{observer}"),
+        )
+        for observer in OBSERVERS
+        for policy in (TridentPolicy, THPPolicy, Baseline4KPolicy, HawkEyePolicy)
+    ],
 )
-def test_cold_stream_equivalence(policy):
-    """Cold start: faults, promotions and shootdowns all happen mid-batch."""
-    batch_fp, batch_res = _run(policy, period=20_000, batched=True)
-    scalar_fp, scalar_res = _run(policy, period=20_000, batched=False)
+def test_cold_stream_equivalence(policy, observer):
+    """Cold start: faults, promotions and shootdowns all happen mid-batch.
+
+    With an observer on, batch and scalar runs also record the same trace
+    events and timeline, and both leave the unobserved run's state.
+    Scrape frames are not compared: one taken inside a TLB kernel call
+    sees that call's L1 totals in full."""
+    batch_obs, scalar_obs = OBSERVERS[observer](), OBSERVERS[observer]()
+    batch_fp, batch_res = _run(policy, 20_000, batched=True, obs=batch_obs)
+    scalar_fp, scalar_res = _run(policy, 20_000, batched=False, obs=scalar_obs)
     assert_fingerprints_equal(batch_fp, scalar_fp)
     assert batch_res == scalar_res
+    if observer == "off":
+        return
+    unobserved, _ = _run(policy, 20_000, batched=True)
+    assert_fingerprints_equal(batch_fp, unobserved)
+    assert list(batch_obs.tracer.events()) == list(scalar_obs.tracer.events())
+    assert batch_obs.timeline_export() == scalar_obs.timeline_export()
+
+
+def test_telemetry_observer_scrapes_inside_kernel_calls(monkeypatch):
+    """The ``telemetry`` observer's deadlines fall inside TLB kernel calls,
+    where the per-event fold must fire them."""
+    obs = _telemetry_observer()
+    inside = 0
+    kernel = sim_batch.hierarchy_touch_batch
+
+    def counting(*args):
+        nonlocal inside
+        frames = obs.scraper.frames
+        kernel(*args)
+        inside += obs.scraper.frames - frames
+
+    monkeypatch.setattr(sim_batch, "hierarchy_touch_batch", counting)
+    _run(THPPolicy, 20_000, batched=True, obs=obs)
+    assert inside > 0
 
 
 @pytest.mark.parametrize("policy", [TridentPolicy, THPPolicy])

@@ -444,6 +444,35 @@ class TestTelemetryCLI:
             validate_exposition(frame)
         assert os.path.exists(os.path.join(out, "alerts.json"))
 
+    @pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf"])
+    def test_bad_scrape_interval_exits_two(self, capsys, tmp_path, bad):
+        """Every ``--telemetry-interval-ms`` flag and the ``serve --config``
+        field reject non-positive and non-finite periods with exit 2,
+        before any cell runs."""
+        prom = str(tmp_path / "t.prom")
+        for argv in (
+            ["run", "GUPS", "Trident", "--accesses", "2000",
+             "--telemetry-out", prom],
+            ["loadgen", "--workloads", "GUPS", "--telemetry-out", prom],
+            ["tenants", "--quick", "--telemetry-out", prom],
+            ["serve", "--config", "unread.json", "--telemetry-out", prom],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--telemetry-interval-ms", bad])
+            assert exc.value.code == 2, argv
+            assert "--telemetry-interval-ms" in capsys.readouterr().err
+        assert not os.path.exists(prom)
+        config = tmp_path / "fleet.json"
+        config.write_text(json.dumps({
+            "tenants": [{"workload": "GUPS", "policy": "Trident",
+                         "rate_rps": 1000}],
+            "telemetry_interval_ms": float(bad),
+        }))
+        code = main(["serve", "--config", str(config), "-o", str(tmp_path)])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "is not a valid fleet spec" in out and "interval_ms" in out
+
     def test_loadgen_alerts_without_telemetry_exits_two(self, capsys, tmp_path):
         code = main(
             ["loadgen", "--workloads", "GUPS", "--policies", "Trident",

@@ -192,3 +192,123 @@ def test_vectorized_walk_histograms_export_like_scalar():
     scalar = _walk_histograms(batched=False)
     assert batch == scalar
     assert scalar["tlb_walk_cycles{size=4KB}"]["max"] == pytest.approx(256.0)
+
+
+class FiringRecorder:
+    """A periodic task recording the hierarchy's fold state at each firing."""
+
+    def __init__(self, tlb, interval_ns: float) -> None:
+        self.tlb = tlb
+        self.interval_ns = interval_ns
+        self.records: list[tuple] = []
+
+    def fire(self, now_ns: float) -> None:
+        st = self.tlb.stats
+        self.records.append((
+            now_ns,
+            st.l2_hits,
+            st.walks,
+            dict(st.walks_by_size),
+            st.translation_cycles,
+            st.walk_cycles,
+            tuple((h.count, h.sum) for h in self.tlb._h_walk.values()),
+        ))
+
+
+def _fold_case(n_accesses: int, batched: bool, interval_ns: float | None):
+    """One hierarchy call over a cold stream of base and mid pages.
+
+    Returns the firing records (with a recorder every ``interval_ns``),
+    the end clock and the L1 miss count.
+    """
+    from repro.config import SCALED_GEOMETRY, WalkConfig
+    from repro.obs import Observability
+    from repro.sim.batch import hierarchy_touch_batch
+    from repro.tlb.hierarchy import TLBHierarchy
+    from repro.vm.pagetable import PageTable
+
+    g = SCALED_GEOMETRY
+    obs = Observability()
+    tlb = TLBHierarchy(WalkConfig(), g, obs=obs)
+    table = PageTable(g)
+    base = 0x7000_0000_0000
+    mid = base + 64 * g.mid_size
+    for i in range(4):
+        table.map_page(mid + i * g.mid_size, 1, 4096 + i * g.frames_per_mid)
+    for i in range(600):
+        table.map_page(base + i * g.base_size, 0, i)
+    rng = np.random.default_rng(3)
+    vas = np.where(
+        rng.random(n_accesses) < 0.8,
+        base + rng.integers(0, 600 * g.base_size, n_accesses),
+        mid + rng.integers(0, 4 * g.mid_size, n_accesses),
+    ).astype(np.int64)
+    recorder = None
+    if interval_ns is not None:
+        recorder = FiringRecorder(tlb, interval_ns)
+        obs.clock.attach(recorder)
+        obs.clock.advance(1.0)  # the first firing, before the call
+    mappings = [table.translate(va) for va in vas.tolist()]
+    if batched:
+        levels = np.array([m.page_size for m in mappings], dtype=np.int64)
+        hierarchy_touch_batch(tlb, levels, vas)
+    else:
+        for va, mapping in zip(vas.tolist(), mappings):
+            tlb.access(va, mapping)
+    misses = tlb.stats.accesses - tlb.stats.l1_hits
+    records = None if recorder is None else recorder.records
+    return records, obs.clock.now_ns, misses
+
+
+@pytest.mark.parametrize("n_accesses, deadlines", [(3000, 6), (40, 3)])
+def test_deadlines_inside_a_call_see_the_scalar_state(n_accesses, deadlines):
+    """A task firing inside ``hierarchy_touch_batch`` records exactly what
+    it records inside a scalar ``access`` loop, above and below the
+    per-event break-even."""
+    _, end_ns, _ = _fold_case(n_accesses, batched=False, interval_ns=None)
+    interval = (end_ns - 1.0) / (deadlines + 0.5)
+    batch, batch_end, batch_misses = _fold_case(n_accesses, True, interval)
+    scalar, scalar_end, _ = _fold_case(n_accesses, False, interval)
+    assert batch == scalar
+    assert batch_end == scalar_end
+    assert len(scalar) == 1 + deadlines  # the pre-call firing plus those inside
+    above = batch_misses >= batch_mod._PER_EVENT_MISSES
+    assert above == (n_accesses > 1000)
+
+
+def test_fold_is_chosen_by_its_input(monkeypatch):
+    """The vectorized fold runs unless the ``tlb`` subsystem is traced, a
+    deadline falls among the charges, or misses are below the break-even;
+    other trace subsystems do not matter."""
+    from repro.config import SCALED_GEOMETRY, WalkConfig
+    from repro.obs import Observability, SimClock
+    from repro.tlb.hierarchy import TLBHierarchy
+
+    calls = []  # the vectorized fold commits the clock with advance_to
+    advance_to = SimClock.advance_to
+
+    def counting(clock, now_ns):
+        calls.append(now_ns)
+        return advance_to(clock, now_ns)
+
+    monkeypatch.setattr(SimClock, "advance_to", counting)
+    g = SCALED_GEOMETRY
+    n = batch_mod._PER_EVENT_MISSES
+
+    def vectorized(misses: int, subsystems=(), interval_ns=None) -> bool:
+        obs = Observability(trace_subsystems=subsystems)
+        tlb = TLBHierarchy(WalkConfig(), g, obs=obs)
+        if interval_ns is not None:
+            obs.clock.attach(FiringRecorder(tlb, interval_ns))
+            obs.clock.advance(1.0)
+        vas = np.arange(misses, dtype=np.int64) * g.base_size
+        calls.clear()
+        batch_mod.hierarchy_touch_batch(tlb, np.zeros(misses, np.int64), vas)
+        return bool(calls)
+
+    assert vectorized(n)
+    assert not vectorized(n - 1)
+    assert vectorized(n, subsystems=("span", "buddy", "telemetry"))
+    assert not vectorized(n, subsystems=("tlb",))
+    assert vectorized(n, interval_ns=1e9)  # the next deadline is far off
+    assert not vectorized(n, interval_ns=10.0)  # it falls among the walks
