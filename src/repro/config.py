@@ -218,6 +218,17 @@ class PageGeometry:
             self, "mid_order", levels[1].order if len(levels) > 2 else None
         )
         object.__setattr__(self, "large_order", levels[-1].order)
+        # Per-level arithmetic, computed once: plain attributes rather than
+        # dataclass fields, so ==, hash, repr and asdict ignore them.
+        frames = tuple(1 << lvl.order for lvl in levels)
+        object.__setattr__(self, "_frames", frames)
+        object.__setattr__(
+            self, "_bytes", tuple(f << self.base_shift for f in frames)
+        )
+        object.__setattr__(self, "_all_levels", tuple(range(len(levels))))
+        object.__setattr__(
+            self, "_levels_desc", tuple(range(len(levels) - 1, -1, -1))
+        )
 
     # -- level indexing --------------------------------------------------
     @property
@@ -232,12 +243,12 @@ class PageGeometry:
     @property
     def all_levels(self) -> tuple[int, ...]:
         """Level indices, smallest page first."""
-        return tuple(range(len(self.levels)))
+        return self._all_levels
 
     @property
     def levels_desc(self) -> tuple[int, ...]:
         """Level indices, largest page first (translate/unmap precedence)."""
-        return tuple(range(len(self.levels) - 1, -1, -1))
+        return self._levels_desc
 
     @property
     def promotable_levels(self) -> tuple[int, ...]:
@@ -296,10 +307,10 @@ class PageGeometry:
 
     def frames_for(self, level: int) -> int:
         """Number of base frames covered by one page at ``level``."""
-        return 1 << self.levels[level].order
+        return self._frames[level]
 
     def bytes_for(self, level: int) -> int:
-        return self.frames_for(level) << self.base_shift
+        return self._bytes[level]
 
     def order_for(self, level: int) -> int:
         """Buddy order of one page at ``level`` (base pages = order 0)."""
@@ -310,15 +321,14 @@ class PageGeometry:
         return self.base_shift + self.levels[level].order
 
     def align_down(self, addr: int, level: int) -> int:
-        size = self.bytes_for(level)
-        return addr - (addr % size)
+        return addr - (addr % self._bytes[level])
 
     def align_up(self, addr: int, level: int) -> int:
-        size = self.bytes_for(level)
+        size = self._bytes[level]
         return (addr + size - 1) // size * size
 
     def is_aligned(self, addr: int, level: int) -> bool:
-        return addr % self.bytes_for(level) == 0
+        return addr % self._bytes[level] == 0
 
     def describe(self) -> str:
         """One line per level, for ``repro geometry describe``."""

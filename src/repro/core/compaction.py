@@ -207,12 +207,23 @@ class _CompactorBase:
         return start + hit * step
 
     def _place_in_targets(
-        self, order: int, target_regions: list[int]
+        self, order: int, target_regions: list[int], full: dict[int, int]
     ) -> int | None:
-        for region in target_regions:
-            slot = self._find_free_slot(region, order)
+        """Lowest free ``order`` slot in the first target that has one.
+
+        ``full[order]`` counts the leading targets already found without
+        an ``order`` slot during this evacuation; they are not searched
+        again.  Targets only fill while one region is evacuated: every
+        frame the evacuation frees lies in the source, which is never a
+        target, so a full target stays full.
+        """
+        first = full.get(order, 0)
+        for i in range(first, len(target_regions)):
+            slot = self._find_free_slot(target_regions[i], order)
             if slot is not None:
+                full[order] = i
                 return slot
+        full[order] = len(target_regions)
         return None
 
     # -- migration ------------------------------------------------------------
@@ -320,6 +331,7 @@ class NormalCompactor(_CompactorBase):
             for r in range(self.regions.n_regions - 1, -1, -1)
             if r != region and self.regions.free_frames[r] > 0
         ]
+        full: dict[int, int] = {}
         for pfn, order, movable in self._blocks_in_region(region):
             if result.time_ns >= budget_ns:
                 return copied_here  # out of budget: progress persists
@@ -329,7 +341,7 @@ class NormalCompactor(_CompactorBase):
                 result.wasted_bytes += copied_here
                 self._abort(region, "unmovable")
                 return None
-            dest = self._place_in_targets(order, targets)
+            dest = self._place_in_targets(order, targets, full)
             if dest is None:
                 result.wasted_bytes += copied_here
                 self._abort(region, "no_slot")
@@ -396,11 +408,12 @@ class SmartCompactor(_CompactorBase):
         if capacity < occupied:
             self._abort(source, "no_capacity")
             return False
+        full: dict[int, int] = {}
         for pfn, order, movable in blocks:
             if result.time_ns >= budget_ns:
                 self._abort(source, "budget")
                 return False  # out of budget: resume next attempt
-            dest = self._place_in_targets(order, targets)
+            dest = self._place_in_targets(order, targets, full)
             if dest is None:
                 # Capacity existed but not in aligned slots of this order.
                 self._abort(source, "no_slot")

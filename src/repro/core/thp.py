@@ -58,11 +58,10 @@ class THPPolicy(MemoryPolicy):
 
     # -- page-fault handler ---------------------------------------------------
     def handle_fault(self, process, va: int) -> float:
-        vma = process.aspace.find_vma(va)
-        if vma is None:
+        extent = process.aspace.extent_of(va)
+        if extent is None:
             raise ValueError(f"fault at unmapped va {va:#x} (no VMA)")
         geometry = self.kernel.geometry
-        extent = process.aspace.extent_of(va)
         sizes = candidate_page_sizes(va, extent, process.pagetable, geometry)
         thp = geometry.thp_level
         if thp in sizes:

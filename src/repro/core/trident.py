@@ -56,11 +56,10 @@ class TridentPolicy(THPPolicy):
 
     # -- page-fault handler ------------------------------------------------
     def handle_fault(self, process, va: int) -> float:
-        vma = process.aspace.find_vma(va)
-        if vma is None:
+        extent = process.aspace.extent_of(va)
+        if extent is None:
             raise ValueError(f"fault at unmapped va {va:#x} (no VMA)")
         geometry = self.kernel.geometry
-        extent = process.aspace.extent_of(va)
         sizes = candidate_page_sizes(va, extent, process.pagetable, geometry)
         top = geometry.top_level
         if top in sizes:

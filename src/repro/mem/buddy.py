@@ -7,7 +7,7 @@ chunks directly.  This module implements the full extended allocator:
 
 * power-of-two blocks, split on demand, eagerly coalesced on free;
 * deterministic lowest-address-first allocation (heap + membership set per
-  order, with lazy deletion);
+  order, with lazy deletion and a bounded heap);
 * a movability tag per allocation — unmovable blocks model kernel objects
   (inodes, DMA buffers) that compaction must not relocate;
 * ``alloc_at`` for claiming a specific free range (used by compaction to
@@ -43,7 +43,12 @@ class _OrderFreeList:
     The heap gives lowest-address-first allocation (deterministic and
     Linux-like); the set gives O(1) membership tests for buddy coalescing.
     Heap entries whose start is no longer in the set are stale and skipped.
+    Once the heap holds more than ``2 * members + HEAP_SLACK`` entries it
+    is rebuilt from the set (a sorted list is a heap), so stale entries
+    never outnumber live ones by much and the lowest member pops as before.
     """
+
+    HEAP_SLACK = 64
 
     __slots__ = ("_heap", "_members")
 
@@ -54,23 +59,27 @@ class _OrderFreeList:
     def __len__(self) -> int:
         return len(self._members)
 
-    def __contains__(self, pfn: int) -> bool:
-        return pfn in self._members
-
     def add(self, pfn: int) -> None:
         self._members.add(pfn)
         heapq.heappush(self._heap, pfn)
 
     def discard(self, pfn: int) -> None:
         self._members.discard(pfn)
+        self._bound_heap()
 
     def pop_lowest(self) -> int:
-        while self._heap:
-            pfn = heapq.heappop(self._heap)
-            if pfn in self._members:
-                self._members.remove(pfn)
+        heap, members = self._heap, self._members
+        while heap:
+            pfn = heapq.heappop(heap)
+            if pfn in members:
+                members.remove(pfn)
+                self._bound_heap()
                 return pfn
         raise KeyError("free list is empty")
+
+    def _bound_heap(self) -> None:
+        if len(self._heap) > 2 * len(self._members) + self.HEAP_SLACK:
+            self._heap = sorted(self._members)
 
     def members(self) -> Iterable[int]:
         return iter(self._members)
@@ -186,7 +195,8 @@ class BuddyAllocator:
 
     def has_free_block(self, order: int) -> bool:
         """True if an allocation of ``order`` would succeed right now."""
-        return any(len(self._free_lists[o]) for o in range(order, self.max_order + 1))
+        lists = self._free_lists
+        return any(lists[o]._members for o in range(order, self.max_order + 1))
 
     def free_frames_at_or_above(self, order: int) -> int:
         """Free frames sitting in blocks of order >= ``order``.
@@ -214,15 +224,30 @@ class BuddyAllocator:
         is free.  Splits a larger block when necessary, always taking the
         lowest-addressed candidate.
         """
-        if not 0 <= order <= self.max_order:
-            raise ValueError(f"order {order} out of range [0, {self.max_order}]")
-        source = None
-        for o in range(order, self.max_order + 1):
-            if len(self._free_lists[o]):
-                source = o
-                break
+        source = self._source_order(order)
         if source is None:
             raise OutOfMemoryError(f"no free block at order >= {order}")
+        return self._split_alloc(source, order, movable)
+
+    def try_alloc(self, order: int, movable: bool = True) -> int | None:
+        """Like :meth:`alloc` but returns None instead of raising on OOM."""
+        source = self._source_order(order)
+        if source is None:
+            return None
+        return self._split_alloc(source, order, movable)
+
+    def _source_order(self, order: int) -> int | None:
+        """Lowest order >= ``order`` with a free block, or None."""
+        if not 0 <= order <= self.max_order:
+            raise ValueError(f"order {order} out of range [0, {self.max_order}]")
+        lists = self._free_lists
+        for o in range(order, self.max_order + 1):
+            if lists[o]._members:
+                return o
+        return None
+
+    def _split_alloc(self, source: int, order: int, movable: bool) -> int:
+        """Take the lowest ``source`` block and split it down to ``order``."""
         pfn = self._free_lists[source].pop_lowest()
         if self._c_split is not None and source > order:
             self._c_split.inc(source - order)
@@ -231,13 +256,6 @@ class BuddyAllocator:
             self._free_lists[source].add(pfn + (1 << source))
         self._commit_alloc(pfn, order, movable)
         return pfn
-
-    def try_alloc(self, order: int, movable: bool = True) -> int | None:
-        """Like :meth:`alloc` but returns None instead of raising on OOM."""
-        try:
-            return self.alloc(order, movable)
-        except OutOfMemoryError:
-            return None
 
     def alloc_at(self, pfn: int, order: int, movable: bool = True) -> None:
         """Claim the specific free block [pfn, pfn + 2**order).
@@ -277,9 +295,9 @@ class BuddyAllocator:
         self._commit_alloc(pfn, order, movable)
 
     def _find_enclosing_free_block(self, pfn: int) -> tuple[int, int] | None:
-        for order in range(self.max_order + 1):
+        for order, free_list in enumerate(self._free_lists):
             candidate = pfn & ~((1 << order) - 1)
-            if candidate in self._free_lists[order]:
+            if candidate in free_list._members:
                 return candidate, order
         return None
 
@@ -289,9 +307,11 @@ class BuddyAllocator:
 
     def _commit_alloc(self, pfn: int, order: int, movable: bool) -> None:
         n = 1 << order
-        self.frame_state[pfn : pfn + n] = (
-            FrameState.MOVABLE if movable else FrameState.UNMOVABLE
-        )
+        state = FrameState.MOVABLE if movable else FrameState.UNMOVABLE
+        if order:
+            self.frame_state[pfn : pfn + n] = state
+        else:
+            self.frame_state[pfn] = state
         self._allocated[pfn] = (order, movable)
         self._free_frames -= n
         gpfn = pfn + self.pfn_base
@@ -311,7 +331,10 @@ class BuddyAllocator:
         except KeyError:
             raise ValueError(f"no allocation starts at pfn {pfn}") from None
         n = 1 << order
-        self.frame_state[pfn : pfn + n] = FrameState.FREE
+        if order:
+            self.frame_state[pfn : pfn + n] = FrameState.FREE
+        else:
+            self.frame_state[pfn] = FrameState.FREE
         self._free_frames += n
         gpfn = pfn + self.pfn_base
         if self._c_free is not None:
@@ -325,17 +348,18 @@ class BuddyAllocator:
 
     def _insert_and_coalesce(self, pfn: int, order: int) -> None:
         merges = 0
+        lists = self._free_lists
         while order < self.max_order:
             buddy = pfn ^ (1 << order)
-            if buddy not in self._free_lists[order]:
+            if buddy not in lists[order]._members:
                 break
-            self._free_lists[order].discard(buddy)
+            lists[order].discard(buddy)
             pfn = min(pfn, buddy)
             order += 1
             merges += 1
         if merges and self._c_coalesce is not None:
             self._c_coalesce.inc(merges)
-        self._free_lists[order].add(pfn)
+        lists[order].add(pfn)
 
     # -- verification (tests and the --audit layer) -------------------------
     def check_invariants(self) -> None:

@@ -176,20 +176,23 @@ class TLBHierarchy:
         """Shootdown for a remapped range (promotion/compaction).
 
         Drops every entry whose page lies inside [start, start+length) from
-        all levels.  Ranges are page-size aligned in all call sites.
+        all levels.  Ranges are page-size aligned in all call sites.  Per
+        structure, a range of more pages than the structure has entries
+        drops its resident entries in the range instead of probing every
+        page (same result: deleting keys keeps the others' LRU order).
         """
         for size in range(self.n_levels):
             shift = self._shifts[size]
             first = start >> shift
             last = (start + length - 1) >> shift
-            structures = (self.l1[size], self._l2_by_level[size])
-            # Small ranges: invalidate per page; huge ranges: flush.
-            if last - first + 1 > 4096:
-                for s in structures:
+            pages = last - first + 1
+            for s in (self.l1[size], self._l2_by_level[size]):
+                if pages > 4096:
                     s.flush()
-            else:
-                for vpn in range(first, last + 1):
-                    for s in structures:
+                elif pages > s.entries:
+                    s.invalidate_resident(first, last)
+                else:
+                    for vpn in range(first, last + 1):
                         s.invalidate(vpn)
 
     def flush(self) -> None:

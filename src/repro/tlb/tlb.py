@@ -54,6 +54,12 @@ class SetAssocTLB:
             return True
         return False
 
+    def invalidate_resident(self, first: int, last: int) -> None:
+        """Drop every resident vpn in [first, last]; the rest keep LRU order."""
+        for s in self._sets:
+            for vpn in [v for v in s if first <= v <= last]:
+                del s[vpn]
+
     def flush(self) -> None:
         """Drop everything (context switch / full shootdown)."""
         for s in self._sets:

@@ -24,6 +24,8 @@ class PageWalker:
         self.config = config
         self.walks = 0
         self.walk_cycles = 0.0
+        #: level -> cycles of one native walk; the config is frozen
+        self._native_cycles: dict[int, float] = {}
 
     def expected_accesses(
         self,
@@ -59,7 +61,11 @@ class PageWalker:
 
     def native_walk(self, page_size: int) -> float:
         """Cycles for one native walk to a leaf of ``page_size``."""
-        cycles = self.native_walk_cycles(page_size)
+        cycles = self._native_cycles.get(page_size)
+        if cycles is None:
+            cycles = self._native_cycles[page_size] = self.native_walk_cycles(
+                page_size
+            )
         self.walks += 1
         self.walk_cycles += cycles
         return cycles

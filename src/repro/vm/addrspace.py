@@ -65,6 +65,9 @@ class AddressSpace:
         self._starts: list[int] = []  # sorted VMA start addresses
         self._vmas: dict[int, VMA] = {}
         self._holes: list[_Hole] = []  # sorted by start
+        #: merged extents and their starts, rebuilt lazily after mmap/munmap
+        self._extents: list[VMA] | None = None
+        self._extent_starts: list[int] = []
 
     # -- queries ------------------------------------------------------------
     def __len__(self) -> int:
@@ -94,44 +97,39 @@ class AddressSpace:
         purposes even though it was built from many small mmaps.  We keep
         the individual VMAs (so munmap of an original allocation stays
         trivial) and expose the merged view here — this is the view the
-        fault handler and khugepaged scan.
+        fault handler and khugepaged scan.  Returns a fresh list.
         """
-        extents: list[VMA] = []
-        for vma in self.iter_vmas():
-            if (
-                extents
-                and extents[-1].end == vma.start
-                and extents[-1].name == vma.name
-            ):
-                extents[-1] = VMA(extents[-1].start, vma.end, vma.name)
-            else:
-                extents.append(VMA(vma.start, vma.end, vma.name))
-        return extents
+        return list(self._merged_extents())
 
     def extent_of(self, addr: int) -> VMA | None:
-        """The merged extent containing ``addr``, or None."""
-        vma = self.find_vma(addr)
-        if vma is None:
+        """The merged extent containing ``addr``, or None.
+
+        None exactly when :meth:`find_vma` is None: extents tile the VMAs.
+        """
+        extents = self._merged_extents()
+        i = bisect.bisect_right(self._extent_starts, addr) - 1
+        if i < 0:
             return None
-        start, end = vma.start, vma.end
-        i = self._starts.index(vma.start)
-        j = i
-        while j > 0:
-            prev = self._vmas[self._starts[j - 1]]
-            if prev.end == start and prev.name == vma.name:
-                start = prev.start
-                j -= 1
-            else:
-                break
-        j = i
-        while j + 1 < len(self._starts):
-            nxt = self._vmas[self._starts[j + 1]]
-            if nxt.start == end and nxt.name == vma.name:
-                end = nxt.end
-                j += 1
-            else:
-                break
-        return VMA(start, end, vma.name)
+        extent = extents[i]
+        return extent if addr < extent.end else None
+
+    def _merged_extents(self) -> list[VMA]:
+        """The cached merged view; only mmap and munmap invalidate it."""
+        extents = self._extents
+        if extents is None:
+            extents = []
+            for vma in self.iter_vmas():
+                if (
+                    extents
+                    and extents[-1].end == vma.start
+                    and extents[-1].name == vma.name
+                ):
+                    extents[-1] = VMA(extents[-1].start, vma.end, vma.name)
+                else:
+                    extents.append(vma)
+            self._extents = extents
+            self._extent_starts = [e.start for e in extents]
+        return extents
 
     # -- mmap/munmap ----------------------------------------------------------
     def mmap(
@@ -189,6 +187,7 @@ class AddressSpace:
             )
         self._starts.remove(start)
         del self._vmas[start]
+        self._extents = None
         self._add_hole(vma.start, vma.end)
         return vma
 
@@ -196,6 +195,7 @@ class AddressSpace:
     def _insert(self, vma: VMA) -> None:
         bisect.insort(self._starts, vma.start)
         self._vmas[vma.start] = vma
+        self._extents = None
 
     def _overlaps(self, start: int, end: int) -> bool:
         i = bisect.bisect_right(self._starts, start) - 1

@@ -40,11 +40,24 @@ def region_is_unmapped(
 def candidate_page_sizes(
     va: int, vma: VMA, table: PageTable, geometry: PageGeometry
 ) -> list[int]:
-    """Levels that could legally map a fresh fault at ``va``, largest first."""
+    """Levels that could legally map a fresh fault at ``va``, largest first.
+
+    The same list as keeping every level for which :func:`region_fits_vma`
+    and :func:`region_is_unmapped` hold, with one page-table probe: a
+    mapped ``va`` has no candidates, and when ``va`` is unmapped any
+    mapping covering a slot's start is smaller than the slot (a larger
+    one would cover ``va`` too), so the slot's child counter decides.
+    """
+    if table.translate(va) is not None:
+        return []
+    lo, hi = vma.start, vma.end
     sizes = []
     for size in geometry.levels_desc:
-        if region_fits_vma(va, size, vma, geometry) and region_is_unmapped(
-            va, size, table, geometry
-        ):
-            sizes.append(size)
+        nbytes = geometry.bytes_for(size)
+        start = va - va % nbytes
+        if start < lo or start + nbytes > hi:
+            continue
+        if size and table.children_in_slot(size, table.vpn(va, size)):
+            continue
+        sizes.append(size)
     return sizes

@@ -89,34 +89,37 @@ class PageTable:
     # -- map/unmap --------------------------------------------------------------
     def map_page(self, va: int, page_size: int, pfn: int) -> Mapping:
         """Install a leaf mapping; ``va`` must be size-aligned and unmapped."""
-        if va % self.page_bytes(page_size):
+        shifts = self._shifts
+        if va % (1 << shifts[page_size]):
             raise ValueError(
                 f"va {va:#x} not aligned to "
                 f"{self.geometry.name_of(page_size)} page"
             )
         self._check_conflicts(va, page_size)
         mapping = Mapping(va, page_size, pfn)
-        self._levels[page_size][self.vpn(va, page_size)] = mapping
+        self._levels[page_size][va >> shifts[page_size]] = mapping
         if self._node_frames is not None:
             frames = self.geometry.frames_for(page_size)
             self._node_frames[self._node_of(pfn)] += frames
             self._resident_frames += frames
+        children = self._children
         for level in range(page_size + 1, self.n_levels):
-            slot = self.vpn(va, level)
-            counts = self._children[level]
+            slot = va >> shifts[level]
+            counts = children[level]
             counts[slot] = counts.get(slot, 0) + 1
         return mapping
 
     def _check_conflicts(self, va: int, page_size: int) -> None:
+        shifts, levels = self._shifts, self._levels
         # Larger levels first: a bigger leaf shadows everything below it.
         for level in range(self.top_level, page_size, -1):
-            if self.vpn(va, level) in self._levels[level]:
+            if va >> shifts[level] in levels[level]:
                 raise MappingConflictError(
                     f"va {va:#x} already covered by a "
                     f"{self.geometry.name_of(level)} mapping"
                 )
-        slot = self.vpn(va, page_size)
-        if slot in self._levels[page_size]:
+        slot = va >> shifts[page_size]
+        if slot in levels[page_size]:
             raise MappingConflictError(
                 f"va {va:#x} already mapped at "
                 f"{self.geometry.name_of(page_size)} size"
@@ -129,8 +132,10 @@ class PageTable:
 
     def unmap(self, va: int, page_size: int) -> Mapping:
         """Remove the leaf mapping at ``va``; returns it (caller frees frames)."""
-        mapping = self._levels[page_size].pop(self.vpn(va, page_size), None)
-        if mapping is None or mapping.va != self.geometry.align_down(va, page_size):
+        shifts = self._shifts
+        shift = shifts[page_size]
+        mapping = self._levels[page_size].pop(va >> shift, None)
+        if mapping is None or mapping.va != va >> shift << shift:
             raise ValueError(
                 f"no {self.geometry.name_of(page_size)} mapping at va {va:#x}"
             )
@@ -138,9 +143,10 @@ class PageTable:
             frames = self.geometry.frames_for(page_size)
             self._node_frames[self._node_of(mapping.pfn)] -= frames
             self._resident_frames -= frames
+        children = self._children
         for level in range(page_size + 1, self.n_levels):
-            slot = self.vpn(va, level)
-            counts = self._children[level]
+            slot = va >> shifts[level]
+            counts = children[level]
             counts[slot] -= 1
             if not counts[slot]:
                 del counts[slot]

@@ -82,7 +82,9 @@ def mixture(
     """Interleave streams with given weights into one n-access stream.
 
     ``parts`` is [(weight, address_pool), ...]; each access draws its source
-    stream by weight and consumes that stream round-robin.
+    stream by weight and consumes that stream round-robin.  Vectorized per
+    part: the k accesses drawn from a part take ``pool[:k]`` in stream
+    order (a view, no copy) or, when k exceeds the pool, the pool repeated.
     """
     weights = np.array([w for w, _ in parts], dtype=np.float64)
     if (weights < 0).any() or weights.sum() <= 0:
@@ -90,10 +92,14 @@ def mixture(
     weights = weights / weights.sum()
     choice = rng.choice(len(parts), size=n, p=weights)
     out = np.empty(n, dtype=np.int64)
-    cursors = [0] * len(parts)
-    pools = [pool for _, pool in parts]
-    for i, c in enumerate(choice):
-        pool = pools[c]
-        out[i] = pool[cursors[c] % len(pool)]
-        cursors[c] += 1
+    for c, (_, pool) in enumerate(parts):
+        where = np.flatnonzero(choice == c)
+        k = len(where)
+        if not k:
+            continue
+        pool = np.asarray(pool)
+        if k <= len(pool):
+            out[where] = pool[:k]
+        else:
+            out[where] = pool[np.arange(k) % len(pool)]
     return out

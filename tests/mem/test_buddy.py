@@ -220,3 +220,61 @@ class TestInvariants:
             b.free(pfn)
         b.check_invariants()
         assert b.free_frames == 128
+
+
+class TestFreeListHeaps:
+    @staticmethod
+    def _heap_bound_holds(b):
+        for free_list in b._free_lists:
+            assert len(free_list._heap) <= (
+                2 * len(free_list._members) + free_list.HEAP_SLACK
+            )
+
+    def test_heaps_stay_bounded_under_churn(self):
+        """Stale heap entries from discards never outnumber live ones by
+        more than the slack, across alloc / alloc_at / free churn."""
+        import random
+
+        rng = random.Random(7)
+        b = make(total=4096, max_order=8)
+        live = []
+        for step in range(20_000):
+            r = rng.random()
+            if live and r < 0.45:
+                b.free(live.pop(rng.randrange(len(live))))
+            elif r < 0.75:
+                pfn = b.try_alloc(rng.randrange(4), movable=rng.random() < 0.9)
+                if pfn is not None:
+                    live.append(pfn)
+            else:
+                order = rng.randrange(3)
+                blocks = [
+                    (o, s)
+                    for o in range(order, b.max_order + 1)
+                    for s in b.free_block_starts(o)
+                ]
+                if blocks:
+                    o, start = rng.choice(blocks)
+                    pfn = start + rng.randrange(1 << (o - order)) * (1 << order)
+                    b.alloc_at(pfn, order)
+                    live.append(pfn)
+            self._heap_bound_holds(b)
+            if step % 2_000 == 0:
+                b.check_invariants()
+        b.check_invariants()
+        for pfn in live:
+            b.free(pfn)
+        self._heap_bound_holds(b)
+        b.check_invariants()
+        assert b.free_frames == 4096
+
+    def test_rebuilt_heap_pops_lowest_first(self):
+        b = make(total=1024, max_order=0)
+        for pfn in range(0, 1024, 2):
+            b.alloc_at(pfn, 0)  # discards from the order-0 list
+        assert [b.alloc(0) for _ in range(4)] == [1, 3, 5, 7]
+
+    @pytest.mark.parametrize("order", [-1, 7])
+    def test_try_alloc_rejects_bad_orders(self, order):
+        with pytest.raises(ValueError, match="out of range"):
+            make().try_alloc(order)

@@ -64,6 +64,29 @@ class TestPageGeometry:
         )
 
 
+    def test_cached_arithmetic_is_invisible(self):
+        """Per-level tuples are plain attributes: equality, hashing, repr
+        and asdict see only the declared fields, and a geometry built
+        another way still compares equal."""
+        import dataclasses
+
+        rebuilt = PageGeometry(
+            base_shift=SCALED_GEOMETRY.base_shift, levels=SCALED_GEOMETRY.levels,
+            l2_groups=SCALED_GEOMETRY.l2_groups,
+        )
+        assert rebuilt == SCALED_GEOMETRY
+        assert hash(rebuilt) == hash(SCALED_GEOMETRY)
+        fields = {f.name for f in dataclasses.fields(PageGeometry)}
+        assert set(dataclasses.asdict(SCALED_GEOMETRY)) == fields
+        assert "_bytes" not in repr(SCALED_GEOMETRY)
+        g = dataclasses.replace(SCALED_GEOMETRY, base_shift=13)
+        assert g.bytes_for(LARGE) == 2 * SCALED_GEOMETRY.bytes_for(LARGE)
+        assert g.all_levels == (0, 1, 2) and g.levels_desc == (2, 1, 0)
+        for level in g.all_levels:
+            assert g.frames_for(level) == 1 << g.levels[level].order
+            assert g.align_down(g.bytes_for(level) + 5, level) == g.bytes_for(level)
+
+
 class TestWalkConfig:
     def test_five_level_counts(self):
         w = WalkConfig(levels_base=5)

@@ -249,3 +249,18 @@ def test_walk_tables_equal_the_walker(preset):
         walker.nested_walk(g, h) for g in levels for h in levels
     ]
     assert nested.walk_charge == 0
+
+
+def test_native_walk_counts_every_walk_at_cached_cycles():
+    """native_walk caches its cycles per level but still counts each walk."""
+    walker = PageWalker(WalkConfig())
+    levels = G.all_levels
+    for _ in range(3):
+        for level in levels:
+            assert walker.native_walk(level) == walker.native_walk_cycles(level)
+    assert walker.walks == 3 * len(levels)
+    total = 0.0
+    for _ in range(3):
+        for level in levels:
+            total += walker.native_walk_cycles(level)
+    assert walker.walk_cycles == total

@@ -4,6 +4,8 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.config import TLBConfig
+from repro.geometries import GEOMETRY_PRESETS
+from repro.tlb.hierarchy import TLBHierarchy
 from repro.tlb.tlb import SetAssocTLB
 
 
@@ -98,3 +100,83 @@ def test_hit_rate_monotone_with_capacity(vpns):
         else:
             big.insert(vpn)
     assert hits_big >= hits_small
+
+
+# -- range shootdowns against per-page invalidation -------------------------
+
+
+def _per_page_invalidate(hierarchy, start, length):
+    """The original invalidate_range: probe every page, flush above 4096."""
+    for size in range(hierarchy.n_levels):
+        shift = hierarchy._shifts[size]
+        first = start >> shift
+        last = (start + length - 1) >> shift
+        structures = (hierarchy.l1[size], hierarchy._l2_by_level[size])
+        if last - first + 1 > 4096:
+            for s in structures:
+                s.flush()
+        else:
+            for vpn in range(first, last + 1):
+                for s in structures:
+                    s.invalidate(vpn)
+
+
+def _contents(hierarchy):
+    structures = list(hierarchy.l1.values()) + list(hierarchy.l2.values())
+    return [[list(s) for s in t._sets] for t in structures]
+
+
+SHOOTDOWN_PRESETS = ("x86", "sv-napot")
+
+
+def _range_pages(preset):
+    """Page counts just below, at and above every structure's entry count,
+    plus the 4096-page flush threshold."""
+    machine = GEOMETRY_PRESETS[preset].machine(4)
+    geometry = machine.geometry
+    entries = {cfg.entries for _, cfg in geometry.l2_groups}
+    entries |= {lvl.tlb.l1.entries for lvl in geometry.levels}
+    pages = {4096, 4097}
+    for n in entries:
+        pages |= {max(1, n - 1), n, n + 1}
+    return sorted(pages)
+
+
+@given(
+    st.sampled_from(SHOOTDOWN_PRESETS),
+    st.data(),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(-300, 5000)), max_size=400),
+)
+@settings(max_examples=120, deadline=None)
+def test_invalidate_range_matches_per_page_invalidation(preset, data, fills):
+    """Per set, the entries left behind and their LRU order are the ones
+    per-page invalidation leaves, for ranges on both sides of every
+    structure's entry count."""
+    machine = GEOMETRY_PRESETS[preset].machine(4)
+    geometry = machine.geometry
+    fast = TLBHierarchy(machine.walk, geometry)
+    slow = TLBHierarchy(machine.walk, geometry)
+    level = data.draw(st.integers(0, geometry.n_levels - 1))
+    pages = data.draw(st.sampled_from(_range_pages(preset)))
+    first_page = data.draw(st.integers(0, 64))
+    nbytes = geometry.bytes_for(level)
+    start, length = first_page * nbytes, pages * nbytes
+    for size, offset in fills:
+        size %= geometry.n_levels
+        # Keys near the range's first vpn at every level, inside and out.
+        vpn = max(0, (start >> fast._shifts[size]) + offset)
+        for h in (fast, slow):
+            h._l2_by_level[size].insert(vpn)
+            h.l1[size].insert(vpn)
+    assert _contents(fast) == _contents(slow)
+    fast.invalidate_range(start, length)
+    _per_page_invalidate(slow, start, length)
+    assert _contents(fast) == _contents(slow)
+
+
+def test_invalidate_resident_keeps_lru_order():
+    tlb = SetAssocTLB(TLBConfig(16, 8))
+    for vpn in (0, 2, 4, 6, 8, 10, 1, 3, 7):
+        tlb.insert(vpn)
+    tlb.invalidate_resident(2, 6)
+    assert [list(s) for s in tlb._sets] == [[0, 8, 10], [1, 7]]

@@ -4,7 +4,9 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.config import SCALED_GEOMETRY
-from repro.vm.addrspace import AddressSpace
+from repro.geometries import GEOMETRY_PRESETS
+from repro.vm.addrspace import VMA, AddressSpace
+from repro.vm.fault import candidate_page_sizes, region_fits_vma, region_is_unmapped
 from repro.vm.mappability import mappable_bytes, mappable_ranges
 from repro.vm.pagetable import MappingConflictError, PageTable
 
@@ -134,3 +136,160 @@ def test_mappable_ranges_are_aligned_and_inside(pages, size):
         assert start % G.bytes_for(size) == 0
         assert end - start == G.bytes_for(size)
         assert vma.start <= start and end <= vma.end
+
+
+# -- cached extents against the neighbour walk they replaced ---------------
+
+
+def _reference_extent_of(aspace, addr):
+    """The original extent_of: find the VMA, walk same-name neighbours."""
+    vma = aspace.find_vma(addr)
+    if vma is None:
+        return None
+    vmas = aspace.iter_vmas()
+    i = vmas.index(vma)
+    start, end = vma.start, vma.end
+    j = i
+    while j > 0 and vmas[j - 1].end == start and vmas[j - 1].name == vma.name:
+        start = vmas[j - 1].start
+        j -= 1
+    j = i
+    while (
+        j + 1 < len(vmas)
+        and vmas[j + 1].start == end
+        and vmas[j + 1].name == vma.name
+    ):
+        end = vmas[j + 1].end
+        j += 1
+    return VMA(start, end, vma.name)
+
+
+def _reference_extents(aspace):
+    """The original iter_extents: merge adjacent same-name VMAs in order."""
+    extents = []
+    for vma in aspace.iter_vmas():
+        if extents and extents[-1].end == vma.start and extents[-1].name == vma.name:
+            extents[-1] = VMA(extents[-1].start, vma.end, vma.name)
+        else:
+            extents.append(VMA(vma.start, vma.end, vma.name))
+    return extents
+
+
+def _probe_addresses(aspace):
+    """Every VMA start and last byte, plus addresses just outside each VMA."""
+    addrs = {aspace.MMAP_BASE - 1, aspace.MMAP_BASE}
+    for vma in aspace.iter_vmas():
+        addrs.update((vma.start - 1, vma.start, vma.end - 1, vma.end))
+        addrs.add((vma.start + vma.end) // 2)
+    return sorted(a for a in addrs if a >= 0)
+
+
+def _check_extents(aspace):
+    expected = _reference_extents(aspace)
+    assert aspace.iter_extents() == expected
+    for addr in _probe_addresses(aspace):
+        assert aspace.extent_of(addr) == _reference_extent_of(aspace, addr)
+        assert (aspace.extent_of(addr) is None) == (aspace.find_vma(addr) is None)
+
+
+extent_ops = st.lists(
+    st.one_of(
+        # mmap: pages, name, alignment, MAP_FIXED slot (None = first fit)
+        st.tuples(
+            st.just("mmap"),
+            st.integers(1, 3 * MID // BASE),
+            st.sampled_from(("heap", "anon")),
+            st.sampled_from((None, MID, LARGE)),
+            st.one_of(st.none(), st.integers(0, 64)),
+        ),
+        st.tuples(st.just("munmap"), st.integers(0, 2**16)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(extent_ops)
+@settings(max_examples=80, deadline=None)
+def test_cached_extents_match_the_neighbour_walk(ops):
+    """extent_of/iter_extents agree with the uncached algorithm after every
+    mmap (first fit, aligned, MAP_FIXED) and every munmap that leaves a
+    hole later mmaps reuse."""
+    aspace = AddressSpace(G)
+    live = []
+    for op in ops:
+        if op[0] == "mmap":
+            _, pages, name, align, fixed_slot = op
+            fixed_at = None
+            if fixed_slot is not None:
+                fixed_at = VA0 + fixed_slot * (align or BASE)
+            try:
+                vma = aspace.mmap(pages * BASE, name, align=align, fixed_at=fixed_at)
+            except ValueError:
+                continue  # MAP_FIXED overlap
+            live.append(vma.start)
+        elif live:
+            aspace.munmap(live.pop(op[1] % len(live)))
+        _check_extents(aspace)
+
+
+@given(st.lists(st.integers(1, 64), min_size=1, max_size=20))
+@settings(max_examples=30)
+def test_mutating_returned_extents_changes_nothing(lengths):
+    aspace = AddressSpace(G)
+    for i, pages in enumerate(lengths):
+        aspace.mmap(pages * BASE, "heap" if i % 3 else "anon")
+    before = aspace.iter_extents()
+    probes = _probe_addresses(aspace)
+    answers = [aspace.extent_of(a) for a in probes]
+    returned = aspace.iter_extents()
+    returned.clear()
+    returned.append(VMA(0, BASE))
+    assert aspace.iter_extents() == before
+    assert [aspace.extent_of(a) for a in probes] == answers
+
+
+# -- single-probe fault candidates against the per-level definition --------
+
+CANDIDATE_GEOMETRIES = {
+    "x86": G,
+    "sv-napot": GEOMETRY_PRESETS["sv-napot"].geometry,
+}
+
+
+@given(
+    st.sampled_from(sorted(CANDIDATE_GEOMETRIES)),
+    st.lists(
+        st.tuples(st.integers(0, 2 * 1024 - 1), st.integers(0, 3)),
+        max_size=30,
+    ),
+    st.integers(0, 2 * 1024 - 1),
+    st.integers(0, 4 * 1024),
+    st.integers(1, 4 * 1024),
+    st.integers(0, 4095),
+)
+@settings(max_examples=300, deadline=None)
+def test_candidate_page_sizes_matches_per_level_checks(
+    geometry_name, specs, va_page, vma_lo, vma_pages, offset
+):
+    """One translate per fault gives the list the per-level checks give,
+    for mapped and unmapped va and any VMA bounds."""
+    geometry = CANDIDATE_GEOMETRIES[geometry_name]
+    table = PageTable(geometry)
+    base = geometry.base_size
+    for page, level in specs:
+        level %= geometry.n_levels
+        va = geometry.align_down(page * base, level)
+        try:
+            table.map_page(va, level, pfn=page)
+        except MappingConflictError:
+            pass
+    va = va_page * base + offset % base
+    vma = VMA(vma_lo * base, (vma_lo + vma_pages) * base)
+    expected = [
+        size
+        for size in geometry.levels_desc
+        if region_fits_vma(va, size, vma, geometry)
+        and region_is_unmapped(va, size, table, geometry)
+    ]
+    assert candidate_page_sizes(va, vma, table, geometry) == expected

@@ -1,7 +1,9 @@
 """Tests for the workload models and access-pattern generators."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.config import SCALE_FACTOR, default_machine
 from repro.core.trident import TridentPolicy
@@ -101,6 +103,59 @@ class TestAccessPatterns:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             access.mixture(rng, [(0.0, np.zeros(1, dtype=np.int64))], 10)
+
+    def test_mixture_short_pools_like_btree(self):
+        """btree and graph draw from n // 4 + 1-long pools: they wrap."""
+        n = 1000
+        parts = [
+            (w, np.arange(n // 4 + 1, dtype=np.int64) + 10_000 * i)
+            for i, w in enumerate((3.0, 1.0, 0.0, 2.0))
+        ]
+        _assert_mixture_matches_loop(parts, n, seed=5)
+
+
+def _reference_mixture(rng, parts, n):
+    """The original per-access loop: draw a part, take its next address."""
+    weights = np.array([w for w, _ in parts], dtype=np.float64)
+    weights = weights / weights.sum()
+    choice = rng.choice(len(parts), size=n, p=weights)
+    out = np.empty(n, dtype=np.int64)
+    cursors = [0] * len(parts)
+    for i, c in enumerate(choice):
+        pool = parts[c][1]
+        out[i] = pool[cursors[c] % len(pool)]
+        cursors[c] += 1
+    return out
+
+
+def _assert_mixture_matches_loop(parts, n, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = access.mixture(rng, parts, n)
+    expected = _reference_mixture(ref_rng, parts, n)
+    assert out.dtype == expected.dtype
+    assert out.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from((0.0, 0.5, 1.0, 3.0)), st.integers(1, 80)),
+        min_size=1,
+        max_size=5,
+    ).filter(lambda parts: any(w for w, _ in parts)),
+    st.integers(0, 300),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=100, deadline=None)
+def test_mixture_matches_the_per_access_loop(spec, n, seed):
+    """Same bytes and same generator state as the loop, whether a part's
+    pool is shorter or longer than its draw count, or never drawn."""
+    pools = np.random.default_rng(seed + 1)
+    parts = [
+        (w, pools.integers(0, 1 << 40, length, dtype=np.int64))
+        for w, length in spec
+    ]
+    _assert_mixture_matches_loop(parts, n, seed)
 
 
 class TestRegistry:
