@@ -639,7 +639,7 @@ def _describe_preset(preset) -> None:
         f"  base shift {g.base_shift} ({1 << g.base_shift} B frames), "
         f"{g.n_levels} levels, scale factor {preset.scale_factor}x"
     )
-    walk = preset.walk.for_geometry(g)
+    depths = preset.walk.depths(g)
     print(
         f"  {'LVL':3s} {'NAME':8s} {'LABEL':6s} {'ORDER':5s} {'BYTES':>12s} "
         f"{'FLAGS':12s} {'L1':>8s} {'L2':8s} {'WALK':4s} {'PWC':5s}"
@@ -656,8 +656,8 @@ def _describe_preset(preset) -> None:
         print(
             f"  {level:3d} {lvl.name:8s} {lvl.label:6s} {lvl.order:5d} "
             f"{g.bytes_for(level):12d} {','.join(flags) or '-':12s} "
-            f"{l1:>8s} {lvl.tlb.l2:8s} {walk.levels_for(level):4d} "
-            f"{walk.leaf_cached_prob(level):5.2f}"
+            f"{l1:>8s} {lvl.tlb.l2:8s} {depths[level]:4d} "
+            f"{g.leaf_cached_prob_for(level):5.2f}"
         )
     print("  L2 groups: " + ", ".join(
         f"{name}={cfg.entries}x{cfg.ways}" for name, cfg in g.l2_groups

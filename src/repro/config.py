@@ -91,8 +91,11 @@ class PageLevel:
       levels, 2MB skips 1, 1GB skips 2).  SVNAPOT's 64KB pages are NAPOT
       PTEs and skip none.
     * ``leaf_cached_prob`` — probability the walk's leaf entry sits in a
-      paging-structure cache (``None`` defers to the legacy 3-level
-      :class:`WalkConfig` constants).
+      paging-structure cache (``None`` means the x86 ladder's value for
+      the level index, :data:`DEFAULT_LEAF_CACHED_PROBS`).
+
+    :class:`PageGeometry` resolves both walk facts once per level; read
+    them through its ``levels_skipped_for`` / ``leaf_cached_prob_for``.
     """
 
     name: str
@@ -111,6 +114,12 @@ class PageLevel:
             raise ValueError("page level needs a name")
         if not self.label:
             raise ValueError("page level needs a label")
+
+
+#: leaf structure-cache hit probability of an undeclared level, by level
+#: index (capped at 2): PTEs are never cached, Intel's PDE and PDPTE caches
+#: hold 2MB and 1GB leaves — why 1GB walks are far cheaper than 2MB walks
+DEFAULT_LEAF_CACHED_PROBS = (0.0, 0.60, 0.85)
 
 
 def _three_tier_levels(
@@ -229,6 +238,17 @@ class PageGeometry:
         object.__setattr__(
             self, "_levels_desc", tuple(range(len(levels) - 1, -1, -1))
         )
+        # Walk facts, undeclared ones defaulted by level index.
+        object.__setattr__(self, "_levels_skipped", tuple(
+            i if lvl.levels_skipped is None else lvl.levels_skipped
+            for i, lvl in enumerate(levels)
+        ))
+        object.__setattr__(self, "_leaf_probs", tuple(
+            DEFAULT_LEAF_CACHED_PROBS[min(i, 2)]
+            if lvl.leaf_cached_prob is None
+            else lvl.leaf_cached_prob
+            for i, lvl in enumerate(levels)
+        ))
 
     # -- level indexing --------------------------------------------------
     @property
@@ -320,6 +340,14 @@ class PageGeometry:
         """log2 bytes of one page at ``level`` — the TLB tag shift."""
         return self.base_shift + self.levels[level].order
 
+    def levels_skipped_for(self, level: int) -> int:
+        """Radix levels a walk to a leaf at ``level`` skips."""
+        return self._levels_skipped[level]
+
+    def leaf_cached_prob_for(self, level: int) -> float:
+        """Probability a leaf at ``level`` sits in a paging-structure cache."""
+        return self._leaf_probs[level]
+
     def align_down(self, addr: int, level: int) -> int:
         return addr - (addr % self._bytes[level])
 
@@ -401,31 +429,30 @@ FREQ_GHZ = 2.3
 
 @dataclass(frozen=True)
 class WalkConfig:
-    """Page-walk cost parameters.
+    """Page-walk machine parameters.
 
-    A native walk for a base page touches ``levels_base`` page-table levels
-    (4 on x86-64); mid pages skip the last level (3), large pages skip two
-    (2).  Two caching effects shape the cost:
+    A native walk to a leaf at level ``s`` touches ``levels_base -
+    geometry.levels_skipped_for(s)`` page-table levels (4 / 3 / 2 on
+    x86-64); the per-level facts live on the geometry, the machine-wide
+    ones here.  Two caching effects shape the cost:
 
     * ``pwc_hit_rate`` — probability that every level *above* the leaf is in
       a paging-structure cache (PML4E/PDPTE/PDE caches), leaving only the
       leaf access.
-    * ``leaf_cached_prob`` — for mid and large pages the *leaf itself* is a
-      PDE/PDPTE, which Intel's paging-structure caches also hold; a hit
-      makes the whole walk (nearly) free.  PTEs (base leaves) are never
-      cached.  This is the micro-architectural reason 1GB walks are much
-      cheaper than 2MB walks on real hardware, and the effect the paper's
-      Section 2 "quickens individual walks" point rests on.
+    * the geometry's ``leaf_cached_prob_for`` — for 2MB and 1GB pages the
+      *leaf itself* is a PDE/PDPTE, which Intel's paging-structure caches
+      also hold; a hit makes the whole walk (nearly) free.  This is the
+      micro-architectural reason 1GB walks are much cheaper than 2MB
+      walks on real hardware, and the effect the paper's Section 2
+      "quickens individual walks" point rests on.
+
+    So the expected cycles of a walk of at most ``n`` accesses are::
+
+        (1 - leaf) * (1 + (n - 1) * (1 - pwc)) * mem_access_cycles
 
     ``mem_access_cycles`` is the average cost of one walk memory access —
     page-table entries of big random working sets mostly miss the data
     caches, so this is DRAM-class latency.
-
-    Per-level overrides for N-level geometries come from the
-    :class:`PageLevel` entries themselves (``levels_skipped``,
-    ``leaf_cached_prob``); :meth:`for_geometry` bakes them into the
-    per-level tuples below.  SVNAPOT 64KB pages, for instance, are NAPOT
-    PTEs: a full-depth walk whose leaf is never structure-cached.
     """
 
     levels_base: int = 4
@@ -434,80 +461,52 @@ class WalkConfig:
     #: nested (2D) walks hit the paging-structure caches harder: most of the
     #: up-to-24 accesses are gPA-side upper-level entries with high reuse
     nested_pwc_hit_rate: float = 0.96
-    leaf_cached_prob_mid: float = 0.60
-    leaf_cached_prob_large: float = 0.85
     l2_tlb_hit_cycles: int = 7
-    #: radix levels skipped per geometry level; None = "level index"
-    #: (the x86 ladder: 4KB skips 0, 2MB skips 1, 1GB skips 2)
-    levels_skipped: tuple[int, ...] | None = None
-    #: leaf structure-cache hit probability per geometry level; None =
-    #: the legacy three-tier constants above
-    leaf_cached_probs: tuple[float, ...] | None = None
 
-    def for_geometry(self, geometry: PageGeometry) -> "WalkConfig":
-        """Bake any per-level overrides the geometry declares into tuples.
-
-        Identity for geometries without per-level walk overrides — the
-        x86 family keeps the exact legacy behaviour.
-        """
-        if self.levels_skipped is not None or self.leaf_cached_probs is not None:
-            return self
-        has_skips = any(
-            lvl.levels_skipped is not None for lvl in geometry.levels
+    def depths(self, geometry: PageGeometry) -> tuple[int, ...]:
+        """Page-table levels one native walk traverses, per leaf level."""
+        return tuple(
+            self.levels_base - geometry.levels_skipped_for(s)
+            for s in geometry.all_levels
         )
-        has_probs = any(
-            lvl.leaf_cached_prob is not None for lvl in geometry.levels
+
+    def _cycles(self, accesses: int, leaf: float, pwc: float) -> float:
+        return (
+            (1.0 - leaf)
+            * (1.0 + (accesses - 1) * (1.0 - pwc))
+            * self.mem_access_cycles
         )
-        if not has_skips and not has_probs and geometry.n_levels == 3:
-            return self
-        skipped = tuple(
-            lvl.levels_skipped if lvl.levels_skipped is not None else i
-            for i, lvl in enumerate(geometry.levels)
+
+    def native_table(self, geometry: PageGeometry) -> tuple[float, ...]:
+        """Cycles of one native walk, keyed by leaf level."""
+        leaf = geometry.leaf_cached_prob_for
+        return tuple(
+            self._cycles(n, leaf(s), self.pwc_hit_rate)
+            for s, n in enumerate(self.depths(geometry))
         )
-        probs = tuple(
-            lvl.leaf_cached_prob
-            if lvl.leaf_cached_prob is not None
-            else self._legacy_leaf_prob(i)
-            for i, lvl in enumerate(geometry.levels)
-        )
-        return replace(self, levels_skipped=skipped, leaf_cached_probs=probs)
 
-    def _legacy_leaf_prob(self, level: int) -> float:
-        if level == 0:
-            return 0.0
-        if level == 1:
-            return self.leaf_cached_prob_mid
-        return self.leaf_cached_prob_large
-
-    def leaf_cached_prob(self, level: int) -> float:
-        if self.leaf_cached_probs is not None:
-            return self.leaf_cached_probs[level]
-        return {
-            0: 0.0,
-            1: self.leaf_cached_prob_mid,
-            2: self.leaf_cached_prob_large,
-        }[level]
-
-    def levels_for(self, level: int) -> int:
-        """Page-table levels one walk for ``level`` traverses."""
-        if self.levels_skipped is not None:
-            return self.levels_base - self.levels_skipped[level]
-        return self.levels_base - level  # x86: top level skips 2
-
-    def native_walk_accesses(self, level: int) -> int:
-        """Memory accesses for one native page walk (4 / 3 / 2 on x86)."""
-        return self.levels_for(level)
-
-    def nested_walk_accesses(self, guest_level: int, host_level: int) -> int:
-        """Memory accesses for one nested (2D) walk.
+    def nested_table(self, geometry: PageGeometry) -> tuple[float, ...]:
+        """Cycles of one 2D walk, keyed ``guest * n_levels + host``.
 
         With nG guest levels and nH host levels the 2D walk costs
         ``(nG + 1) * (nH + 1) - 1`` accesses: 24 for 4K+4K, 15 for 2M+2M,
-        8 for 1G+1G — the numbers quoted in the paper's Section 2.
+        8 for 1G+1G — the numbers quoted in the paper's Section 2.  The
+        gVA-side and EPT-side leaves are cached independently and the
+        walker short-circuits once the rarer of the two hits (splintered
+        walks reuse the cached dimension), so the leaf shortcut takes the
+        smaller of the two probabilities, not their product.
         """
-        n_g = self.levels_for(guest_level)
-        n_h = self.levels_for(host_level)
-        return (n_g + 1) * (n_h + 1) - 1
+        depths = self.depths(geometry)
+        leaf = geometry.leaf_cached_prob_for
+        return tuple(
+            self._cycles(
+                (depths[g] + 1) * (depths[h] + 1) - 1,
+                min(leaf(g), leaf(h)),
+                self.nested_pwc_hit_rate,
+            )
+            for g in geometry.all_levels
+            for h in geometry.all_levels
+        )
 
 
 @dataclass(frozen=True)
@@ -596,9 +595,6 @@ class MachineConfig:
                 "total_frames must be a whole number of large regions: "
                 f"{self.total_frames} % {self.geometry.frames_per_large} != 0"
             )
-        # Bake geometry-declared walk overrides in exactly once, so every
-        # consumer of machine.walk sees the per-level tuples.
-        object.__setattr__(self, "walk", self.walk.for_geometry(self.geometry))
 
     @property
     def total_bytes(self) -> int:

@@ -103,8 +103,8 @@ class _CompactorBase:
         self.stats = CompactionStats()
         #: Trident-pv hook: callable(src_pfn, dst_pfn, order) -> ns that
         #: exchanges gPA->hPA mappings instead of copying; None natively.
-        #: Only mid-or-larger blocks use it (exchanging 4KB pages costs more
-        #: than copying them - the paper's Section 6 scope note).
+        #: Only blocks of level 1 or larger use it (exchanging 4KB pages
+        #: costs more than copying them - the paper's Section 6 scope note).
         self.pv_exchanger = None
         self._metrics = None
         self._tracer = None
@@ -233,11 +233,11 @@ class _CompactorBase:
         """Move the block at ``pfn`` to ``dest``.
 
         Returns (bytes_copied, bytes_exchanged, ns): a native move copies
-        the block's contents; with a pv exchanger installed, mid-or-larger
-        blocks move by exchanging gPA->hPA mappings instead.
+        the block's contents; with a pv exchanger installed, blocks of
+        level 1 or larger move by exchanging gPA->hPA mappings instead.
         """
         nbytes = (1 << order) * self.geometry.base_size
-        if self.pv_exchanger is not None and order >= self.geometry.mid_order:
+        if self.pv_exchanger is not None and order >= self.geometry.order_for(1):
             ns = self.pv_exchanger(pfn, dest, order)
             copied, exchanged = 0, nbytes
         else:

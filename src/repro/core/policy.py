@@ -37,16 +37,10 @@ class PolicyStats:
     fault_ns: float = 0.0
     fault_latencies: list[float] = field(default_factory=list)
     #: pages mapped directly by the fault handler, per size
-    fault_mapped: dict[int, int] = field(
-        default_factory=lambda: {s: 0 for s in range(3)}
-    )
+    fault_mapped: dict[int, int] = field(default_factory=dict)
     #: pages created by promotion, per (target) size
-    promoted: dict[int, int] = field(
-        default_factory=lambda: {s: 0 for s in range(3)}
-    )
-    demoted: dict[int, int] = field(
-        default_factory=lambda: {s: 0 for s in range(3)}
-    )
+    promoted: dict[int, int] = field(default_factory=dict)
+    demoted: dict[int, int] = field(default_factory=dict)
     #: large-page allocation attempts/failures at fault vs promotion time
     #: (Table 4 of the paper)
     fault_large_attempts: int = 0

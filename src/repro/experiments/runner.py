@@ -44,13 +44,8 @@ METRICS_DIR: str | None = None
 
 
 def metrics_dir() -> str | None:
-    """The active metrics drop directory.
-
-    Module global first (set in-process by the CLI or by an orchestrator
-    worker after fork), then the ``REPRO_METRICS_DIR`` environment
-    variable — the handoff that survives spawn-style worker startup.
-    """
-    return METRICS_DIR or os.environ.get("REPRO_METRICS_DIR") or None
+    """The active metrics drop directory (set by the CLI or a sweep worker)."""
+    return METRICS_DIR or None
 
 
 def set_metrics_dir(path: str | None) -> None:
@@ -66,13 +61,8 @@ AUDIT: bool = False
 
 
 def audit_enabled() -> bool:
-    """Whether runs should attach invariant auditors.
-
-    Module global first (set in-process by the CLI or an orchestrator
-    worker), then the ``REPRO_AUDIT`` environment variable — the same
-    handoff pattern as :func:`metrics_dir`.
-    """
-    return AUDIT or os.environ.get("REPRO_AUDIT") == "1"
+    """Whether runs should attach invariant auditors."""
+    return AUDIT
 
 
 def set_audit(on: bool) -> None:
@@ -87,13 +77,8 @@ TIMELINE: bool = False
 
 
 def timeline_enabled() -> bool:
-    """Whether runs should record the simulated-time timeline.
-
-    Module global first (set in-process by the CLI or an orchestrator
-    worker), then the ``REPRO_TIMELINE`` environment variable — the same
-    handoff pattern as :func:`metrics_dir`.
-    """
-    return TIMELINE or os.environ.get("REPRO_TIMELINE") == "1"
+    """Whether runs should record the simulated-time timeline."""
+    return TIMELINE
 
 
 def set_timeline(on: bool) -> None:

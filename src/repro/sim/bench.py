@@ -58,7 +58,8 @@ def state_fingerprint(system: System, process) -> dict[str, Any]:
         "walks_by_size": dict(st.walks_by_size),
         "translation_cycles": st.translation_cycles,
         "walk_cycles": st.walk_cycles,
-        "walker": (tlb.walker.walks, tlb.walker.walk_cycles),
+        # The walk counters again, under the key the committed digests hash.
+        "walker": (st.walks, st.walk_cycles),
         "clock_ns": system.obs.clock.now_ns,
         "faults": process.faults,
         "fault_ns": system.policy.stats.fault_ns,

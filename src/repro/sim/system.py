@@ -472,10 +472,10 @@ class System:
             return
         mem_ns = self.machine.walk.mem_access_cycles / FREQ_GHZ
         clock = self.obs.clock
-        levels = self.machine.walk.levels_for
         if not self.pt_replication and process.pt_node != process.home_node:
+            depths = self.machine.walk.depths(self.geometry)
             walk_accesses = sum(
-                levels(s) * w for s, w in br.walks_by_size.items()
+                depths[s] * w for s, w in br.walks_by_size.items()
             )
             walk_pen = walk_accesses * extra * mem_ns
             if walk_pen > 0.0:

@@ -7,13 +7,11 @@ and two-dimensional (nested) walks under virtualization.
 """
 
 from repro.tlb.tlb import SetAssocTLB
-from repro.tlb.walker import PageWalker
 from repro.tlb.hierarchy import TLBHierarchy, TranslationStats
 from repro.tlb.nested import NestedTranslationUnit
 
 __all__ = [
     "SetAssocTLB",
-    "PageWalker",
     "TLBHierarchy",
     "TranslationStats",
     "NestedTranslationUnit",

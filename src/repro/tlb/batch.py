@@ -46,11 +46,11 @@ including the modeled aliasing of the shared L2, where 4KB and 2MB VPNs mix
 as raw integers exactly as in the scalar path.
 
 Beyond the TLB arrays, :func:`hierarchy_touch_batch` folds walk costs into
-``TranslationStats``, the walker, the walk histograms and the
-:class:`SimClock`.  Float accumulation is not associative, so bulk sums
-would drift from the scalar path; instead the per-event cost streams are
-folded with ``np.cumsum`` seeded with the accumulator's current value,
-which reproduces the scalar path's left-to-right adds bit-for-bit.
+``TranslationStats``, the walk histograms and the :class:`SimClock`.
+Float accumulation is not associative, so bulk sums would drift from the
+scalar path; instead the per-event cost streams are folded with
+``np.cumsum`` seeded with the accumulator's current value, which
+reproduces the scalar path's left-to-right adds bit-for-bit.
 """
 
 from __future__ import annotations
@@ -352,7 +352,7 @@ def hierarchy_touch_batch(
     key is its level, the default.  The caller guarantees the page table
     is static across the batch and has already set the mappings'
     accessed bits.  All counters — per-structure
-    hits/misses, :class:`TranslationStats`, walker totals, walk histograms,
+    hits/misses, :class:`TranslationStats`, walk histograms,
     traced walk events and :class:`SimClock` advancement — end up exactly
     as a scalar replay would leave them, including float accumulation
     order (cost-bearing events are folded in stream order).
@@ -437,7 +437,6 @@ def _accumulate_misses(
       is cheaper there.
     """
     stats = hierarchy.stats
-    walker = hierarchy.walker
     clock = hierarchy._clock
     h_walk = hierarchy._h_walk
     tracer = hierarchy._tracer
@@ -448,7 +447,7 @@ def _accumulate_misses(
     n_levels = hierarchy.n_levels
     vectorized = not trace and len(l2_hit) >= _PER_EVENT_MISSES
     if vectorized:
-        miss_cycles = table[miss_keys]
+        miss_cycles = np.array(table)[miss_keys]
         tc_adds = np.where(l2_hit, l2c, miss_cycles + l2c)
         if clock is not None:
             clock_adds = (
@@ -464,7 +463,6 @@ def _accumulate_misses(
         n_l2_hits = len(l2_hit) - len(walk_sizes)
         stats.l2_hits += n_l2_hits
         stats.walks += len(walk_sizes)
-        walker.walks += len(walk_sizes)
         size_counts = np.bincount(walk_sizes, minlength=n_levels)
         for s in range(n_levels):
             stats.walks_by_size[s] += int(size_counts[s])
@@ -473,7 +471,6 @@ def _accumulate_misses(
             stats.translation_cycles, tc_adds
         )
         stats.walk_cycles = _seeded_total(stats.walk_cycles, walk_adds)
-        walker.walk_cycles = _seeded_total(walker.walk_cycles, walk_adds)
         if clock is not None:
             clock.advance_to(end_ns)
         if h_walk is not None:
@@ -499,7 +496,6 @@ def _accumulate_misses(
 
     walks_by_size = stats.walks_by_size
     miss_vpns = vpns[miss_idx]
-    cycles_of = table.tolist()
     key_levels = np.zeros(len(table), dtype=np.int64)
     key_levels[miss_keys] = miss_sizes  # a walk key fixes its TLB level
     level_of = key_levels.tolist()
@@ -513,9 +509,7 @@ def _accumulate_misses(
                 clock.advance(l2c / FREQ_GHZ)
             continue
         size = level_of[key]
-        cycles = cycles_of[key]
-        walker.walks += 1
-        walker.walk_cycles += cycles
+        cycles = table[key]
         stats.walks += 1
         walks_by_size[size] += 1
         stats.walk_cycles += cycles

@@ -19,19 +19,19 @@ SetAssocTLB per level's section plus one per named L2 group.
 The simulator is trace-driven: the caller translates each virtual address
 through the page table first (so the mapping's page size is known — hardware
 discovers it during the walk, but the steady-state cost is identical) and
-feeds the mapping here.  Walk cycles accumulate in :class:`TranslationStats`,
-which is what the paper's ``DTLB_*_MISSES.WALK_ACTIVE`` counters measure.
+feeds the mapping here.  A walk costs its entry of the unit's walk table,
+built once from the walk parameters and the geometry's per-level walk facts
+(:meth:`~repro.config.WalkConfig.native_table`).  Walk cycles accumulate in
+:class:`TranslationStats`, which is what the paper's
+``DTLB_*_MISSES.WALK_ACTIVE`` counters measure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.config import FREQ_GHZ, PageGeometry, WalkConfig
 from repro.tlb.tlb import SetAssocTLB
-from repro.tlb.walker import PageWalker
 from repro.vm.pagetable import Mapping
 
 
@@ -99,13 +99,9 @@ class TLBHierarchy:
         self.l2 = {name: SetAssocTLB(cfg) for name, cfg in geometry.l2_groups}
         #: level -> the L2 structure its section feeds
         self._l2_by_level = [self.l2[lvl.tlb.l2] for lvl in geometry.levels]
-        self.walker = PageWalker(walk)
-        #: walk key -> cycles of one walk; a native walk's key is its leaf
-        #: level (the batch engine reads it per access, the scalar path
-        #: asks the walker)
-        self.walk_table = np.array(
-            [self.walker.native_walk_cycles(s) for s in geometry.all_levels]
-        )
+        #: walk key -> cycles of one walk, read by the scalar path and the
+        #: batch engine alike; a native walk's key is its leaf level
+        self.walk_table = walk.native_table(geometry)
         #: cycles a walk charges the clock on top of its own: the L2 probe
         #: that missed before it
         self.walk_charge = walk.l2_tlb_hit_cycles
@@ -126,7 +122,7 @@ class TLBHierarchy:
         mapping.accessed = True
         cycles = self._probe(size, vpn)
         if cycles is None:
-            cycles = self.walker.native_walk(size)
+            cycles = self.walk_table[size]
             self._walked(size, vpn, cycles)
         return cycles
 
@@ -203,7 +199,6 @@ class TLBHierarchy:
 
     def reset_stats(self) -> None:
         self.stats = TranslationStats.for_geometry(self.geometry)
-        self.walker.reset_stats()
         for tlb in self.l1.values():
             tlb.reset_stats()
         for tlb in self.l2.values():

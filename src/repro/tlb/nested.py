@@ -37,10 +37,7 @@ class NestedTranslationUnit(TLBHierarchy):
         obs=None,
     ) -> None:
         super().__init__(walk, geometry, obs=obs)
-        levels = geometry.all_levels
-        self.walk_table = np.array(
-            [self.walker.nested_walk_cycles(g, h) for g in levels for h in levels]
-        )
+        self.walk_table = walk.nested_table(geometry)
         # A nested walk charges the walk alone, without the L2 probe cycles
         # a native walk adds: a known under-charge, kept because the
         # recorded guest digests hash the guest clock (ROADMAP item 3).
@@ -88,8 +85,8 @@ class NestedTranslationUnit(TLBHierarchy):
         host_mapping.accessed = True
         cycles = self._probe(size, vpn)
         if cycles is None:
-            cycles = self.walker.nested_walk(
-                guest_mapping.page_size, host_mapping.page_size
-            )
+            cycles = self.walk_table[
+                guest_mapping.page_size * self.n_levels + host_mapping.page_size
+            ]
             self._walked(size, vpn, cycles)
         return cycles

@@ -103,9 +103,9 @@ class Hypervisor:
         while off < nbytes:
             hva_a = self.hva(gpa_a + off)
             hva_b = self.hva(gpa_b + off)
-            map_a = self._mapping_at_granule(hva_a, nbytes - off)
-            map_b = self._mapping_at_granule(hva_b, nbytes - off)
-            # Exchange at the coarsest granule both sides share and the
+            map_a = self._mapping_at_granule(hva_a)
+            map_b = self._mapping_at_granule(hva_b)
+            # Exchange at the coarsest level both sides share and the
             # remaining length/alignment allows.
             cap = min(
                 geometry.bytes_for(map_a.page_size),
@@ -113,7 +113,8 @@ class Hypervisor:
             )
             remaining = nbytes - off
             granule = base
-            for candidate in (geometry.large_size, geometry.mid_size, base):
+            for level in geometry.levels_desc:
+                candidate = geometry.bytes_for(level)
                 if (
                     candidate <= cap
                     and candidate <= remaining
@@ -130,7 +131,7 @@ class Hypervisor:
             count += 1
         return count
 
-    def _mapping_at_granule(self, hva: int, remaining: int):
+    def _mapping_at_granule(self, hva: int):
         mapping = self.host_table.translate(hva)
         assert mapping is not None, "exchange on unbacked gPA"
         return mapping

@@ -3,7 +3,7 @@
 import random
 
 
-from repro.config import CostModel, PageGeometry
+from repro.config import CostModel, PageGeometry, PageLevel
 from repro.core.compaction import NormalCompactor, SmartCompactor
 from repro.core.rmap import ReverseMap
 from repro.mem.buddy import BuddyAllocator
@@ -229,3 +229,53 @@ class TestNormalCompactor:
         normal.compact(GEOM.large_order)
         assert normal.stats.attempts == 2
         assert normal.stats.bytes_copied >= 0
+
+
+class TestPvMigrationOnTwoLevels:
+    """With a pv exchanger installed, blocks of level 1 or larger move by
+    exchange and smaller ones by copy; a 2-level ladder has no mid level,
+    so level 1 is its top."""
+
+    GEOM2 = PageGeometry(
+        base_shift=12,
+        levels=(
+            PageLevel(name="base", label="4KB", order=0, promotable=False),
+            PageLevel(name="big", label="64KB", order=4),
+        ),
+    )
+
+    def make(self, n_regions):
+        g = self.GEOM2
+        total = n_regions * g.frames_per_large
+        tracker = RegionTracker(total, g)
+        buddy = BuddyAllocator(total, g.large_order, listeners=(tracker,))
+        smart = SmartCompactor(buddy, tracker, ReverseMap(), g, CostModel())
+        exchanged = []
+
+        def exchange(src, dst, order):
+            exchanged.append((src, dst, order))
+            return 1.0
+
+        smart.pv_exchanger = exchange
+        return buddy, smart, exchanged
+
+    def test_base_frames_copy(self):
+        buddy, smart, exchanged = self.make(n_regions=4)
+        fragment_half(buddy, smart.rmap, RecordingOwner(), random.Random(5))
+        result = smart.compact(self.GEOM2.large_order)
+        assert result.success
+        assert result.bytes_copied > 0 and result.bytes_exchanged == 0
+        assert exchanged == []
+        buddy.check_invariants()
+
+    def test_top_level_block_exchanges(self):
+        g = self.GEOM2
+        buddy, smart, exchanged = self.make(n_regions=2)
+        top = g.large_order
+        buddy.alloc_at(0, top)
+        smart.rmap.register(0, top, RecordingOwner())
+        dest = g.frames_per_large
+        copied, moved, ns = smart._migrate(0, top, dest, movable=True)
+        assert (copied, moved, ns) == (0, g.large_size, 1.0)
+        assert exchanged == [(0, dest, top)]
+        buddy.check_invariants()

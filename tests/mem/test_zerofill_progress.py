@@ -83,7 +83,7 @@ class TestStatsHelpers:
     def test_policy_stats_mapped_pages(self):
         from repro.core.policy import PolicyStats
 
-        stats = PolicyStats()
+        stats = PolicyStats.for_geometry(GEOM)
         stats.fault_mapped[MID] = 5
         stats.promoted[MID] = 3
         stats.demoted[MID] = 2

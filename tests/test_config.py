@@ -1,5 +1,7 @@
 """Tests for the configuration layer."""
 
+from dataclasses import fields, replace
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
@@ -11,10 +13,12 @@ from repro.config import (
     CostModel,
     MachineConfig,
     PageGeometry,
+    PageLevel,
     TLBConfig,
     WalkConfig,
     default_machine,
 )
+from repro.geometries import GEOMETRY_PRESETS
 
 BASE, MID, LARGE = 0, 1, 2  # three-tier level indices (x86-shaped test geometry)
 
@@ -79,26 +83,65 @@ class TestPageGeometry:
         fields = {f.name for f in dataclasses.fields(PageGeometry)}
         assert set(dataclasses.asdict(SCALED_GEOMETRY)) == fields
         assert "_bytes" not in repr(SCALED_GEOMETRY)
+        assert "_leaf_probs" not in repr(SCALED_GEOMETRY)
         g = dataclasses.replace(SCALED_GEOMETRY, base_shift=13)
         assert g.bytes_for(LARGE) == 2 * SCALED_GEOMETRY.bytes_for(LARGE)
         assert g.all_levels == (0, 1, 2) and g.levels_desc == (2, 1, 0)
+        assert g.levels_skipped_for(LARGE) == 2
+        assert g.leaf_cached_prob_for(LARGE) == 0.85
         for level in g.all_levels:
             assert g.frames_for(level) == 1 << g.levels[level].order
             assert g.align_down(g.bytes_for(level) + 5, level) == g.bytes_for(level)
 
 
+class TestWalkFacts:
+    def test_undeclared_facts_default_by_level_index(self):
+        g = PageGeometry(
+            base_shift=12,
+            levels=tuple(
+                PageLevel(name=f"l{i}", label=f"L{i}", order=2 * i, promotable=i > 0)
+                for i in range(4)
+            ),
+        )
+        assert [g.levels_skipped_for(s) for s in g.all_levels] == [0, 1, 2, 3]
+        assert [g.leaf_cached_prob_for(s) for s in g.all_levels] == [
+            0.0, 0.60, 0.85, 0.85,
+        ]
+
+    def test_declared_facts_win(self):
+        napot = GEOMETRY_PRESETS["sv-napot"].geometry
+        assert [napot.levels_skipped_for(s) for s in napot.all_levels] == [
+            0, 0, 1, 2,
+        ]
+        assert [napot.leaf_cached_prob_for(s) for s in napot.all_levels] == [
+            0.0, 0.0, 0.60, 0.85,
+        ]
+
+
 class TestWalkConfig:
+    def test_holds_machine_parameters_only(self):
+        assert [f.name for f in fields(WalkConfig)] == [
+            "levels_base", "mem_access_cycles", "pwc_hit_rate",
+            "nested_pwc_hit_rate", "l2_tlb_hit_cycles",
+        ]
+
     def test_five_level_counts(self):
-        w = WalkConfig(levels_base=5)
-        assert w.native_walk_accesses(BASE) == 5
-        assert w.nested_walk_accesses(BASE, BASE) == 35
+        g = SCALED_GEOMETRY
+        uncached = replace(
+            g, levels=tuple(replace(lvl, leaf_cached_prob=0.0) for lvl in g.levels)
+        )
+        w = WalkConfig(
+            levels_base=5, mem_access_cycles=1, pwc_hit_rate=0.0,
+            nested_pwc_hit_rate=0.0,
+        )
+        assert w.depths(g) == (5, 4, 3)
+        assert w.native_table(uncached)[BASE] == 5
+        assert w.nested_table(uncached)[BASE * g.n_levels + BASE] == 35
 
     def test_leaf_cached_prob_per_size(self):
-        w = WalkConfig()
-        assert w.leaf_cached_prob(BASE) == 0.0
-        assert w.leaf_cached_prob(MID) < w.leaf_cached_prob(
-            LARGE
-        )
+        g = SCALED_GEOMETRY
+        assert g.leaf_cached_prob_for(BASE) == 0.0
+        assert g.leaf_cached_prob_for(MID) < g.leaf_cached_prob_for(LARGE)
 
 
 class TestMachineConfig:
@@ -132,6 +175,11 @@ class TestMachineConfig:
         ]
         assert dict(m.geometry.l2_groups)["shared"] == TLBConfig(1536, 12)
         assert m.cost.zero_bandwidth_bytes_per_ns == pytest.approx(2.6)
+
+    def test_walk_is_kept_as_given(self):
+        napot = GEOMETRY_PRESETS["sv-napot"].geometry
+        m = MachineConfig(geometry=napot, total_frames=napot.frames_per_large)
+        assert m.walk == WalkConfig()
 
     def test_scaled_copy(self):
         m = default_machine(8)

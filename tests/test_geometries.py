@@ -128,19 +128,19 @@ class TestPresets:
         assert g.n_levels == 4
         assert g.labels == ("4KB", "64KB", "2MB", "1GB")
         # NAPOT pages are PTEs: full-depth walks, never structure-cached.
-        walk = GEOMETRY_PRESETS["sv-napot"].walk.for_geometry(g)
-        assert walk.levels_for(1) == walk.levels_for(0)
-        assert walk.leaf_cached_prob(1) == 0.0
+        depths = GEOMETRY_PRESETS["sv-napot"].walk.depths(g)
+        assert depths[1] == depths[0]
+        assert g.leaf_cached_prob_for(1) == 0.0
         # True superpage levels do shorten the walk.
-        assert walk.levels_for(2) < walk.levels_for(0)
+        assert depths[2] < depths[0]
 
     def test_arm16k_granule_shift(self):
         g = GEOMETRY_PRESETS["arm16k"].geometry
         assert g.base_shift == 14
-        walk = GEOMETRY_PRESETS["arm16k"].walk.for_geometry(g)
+        depths = GEOMETRY_PRESETS["arm16k"].walk.depths(g)
         # Contiguous-bit entries never shorten a walk; blocks do.
-        assert walk.levels_for(1) == walk.levels_for(0)
-        assert walk.levels_for(2) < walk.levels_for(0)
+        assert depths[1] == depths[0]
+        assert depths[2] < depths[0]
 
     @pytest.mark.parametrize("key", sorted(GEOMETRY_PRESETS))
     def test_preset_runs_end_to_end(self, key):

@@ -1,5 +1,6 @@
 """Tests for the TLB hierarchy and nested translation."""
 
+import os
 from dataclasses import replace
 
 import pytest
@@ -12,12 +13,13 @@ from repro.config import (
     TLBSection,
     WalkConfig,
 )
-from repro.geometries import GEOMETRY_PRESETS
+from repro.geometries import GEOMETRY_PRESETS, load_geometry_json
 from repro.obs import Observability
 from repro.tlb.hierarchy import TLBHierarchy
 from repro.tlb.nested import NestedTranslationUnit
-from repro.tlb.walker import PageWalker
 from repro.vm.pagetable import PageTable
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 G = SCALED_GEOMETRY
 BASE, MID, LARGE = G.base_size, G.mid_size, G.large_size
@@ -201,15 +203,15 @@ class TestNestedTranslation:
         unit.access(VA0, gm)
         assert unit.stats.walks == 2
 
-    def test_reset_stats_clears_unit_walker_and_structures(self):
+    def test_reset_stats_clears_unit_and_structures(self):
         unit, gm = self.make_nested(LVL_MID, LVL_BASE)
         unit.access(VA0, gm)
         unit.access(VA0, gm)
-        assert unit.stats.walks == 1 and unit.walker.walks == 1
+        assert unit.stats.walks == 1
         unit.reset_stats()
         assert unit.stats.accesses == 0
         assert unit.stats.walks_by_size == {s: 0 for s in G.all_levels}
-        assert (unit.walker.walks, unit.walker.walk_cycles) == (0, 0.0)
+        assert (unit.stats.walks, unit.stats.walk_cycles) == (0, 0.0)
         assert all(t.hits == t.misses == 0 for t in unit.l1.values())
         assert all(t.hits == t.misses == 0 for t in unit.l2.values())
         # Cached translations survive: only the counters restart.
@@ -219,7 +221,7 @@ class TestNestedTranslation:
         obs = Observability(trace_subsystems=("tlb",))
         unit, gm = self.make_nested(LVL_LARGE, LVL_MID, obs=obs)
         cycles = unit.access(VA0, gm)
-        assert cycles == PageWalker(WalkConfig()).nested_walk(LVL_LARGE, LVL_MID)
+        assert cycles == unit.walk_table[LVL_LARGE * G.n_levels + LVL_MID]
         # The effective size is the 2MB host page, so the walk is filed
         # there, with the 2D walk cost.
         hist = obs.metrics.get("tlb_walk_cycles", size=G.label_for(LVL_MID))
@@ -233,34 +235,128 @@ class TestNestedTranslation:
         assert obs.clock.now_ns == cycles / FREQ_GHZ
 
 
-@pytest.mark.parametrize("preset", ["x86", "sv-napot", "arm16k"])
-def test_walk_tables_equal_the_walker(preset):
-    """The batch engine's key -> cycles tables hold the scalar walker's
-    floats bit for bit: native keys are levels, nested keys pair levels."""
-    machine = GEOMETRY_PRESETS[preset].machine(4)
-    geometry, walk = machine.geometry, machine.walk
-    levels = geometry.all_levels
-    walker = PageWalker(walk)
+#: walk key -> cycles tables of the deleted ``PageWalker``
+#: (``native_walk_cycles``, ``nested_walk_cycles``), captured as
+#: ``float.hex`` before it was removed: native keys are levels, nested
+#: keys ``guest * n_levels + host``.  Every unit must keep them bit for bit.
+PINNED_WALK_TABLES = {
+    "x86": (
+        ("0x1.fffffffffffffp+7", "0x1.6666666666666p+6", "0x1.ccccccccccccep+4"),
+        (
+            "0x1.3333333333336p+8", "0x1.1333333333335p+8", "0x1.e666666666669p+7",
+            "0x1.1333333333335p+8", "0x1.8f5c28f5c28f8p+6", "0x1.6666666666668p+6",
+            "0x1.e666666666669p+7", "0x1.6666666666668p+6", "0x1.eb851eb851ebbp+4",
+        ),
+    ),
+    "sv-napot": (
+        (
+            "0x1.fffffffffffffp+7", "0x1.fffffffffffffp+7",
+            "0x1.6666666666666p+6", "0x1.ccccccccccccep+4",
+        ),
+        (
+            "0x1.3333333333336p+8", "0x1.3333333333336p+8", "0x1.1333333333335p+8", "0x1.e666666666669p+7",
+            "0x1.3333333333336p+8", "0x1.3333333333336p+8", "0x1.1333333333335p+8", "0x1.e666666666669p+7",
+            "0x1.1333333333335p+8", "0x1.1333333333335p+8", "0x1.8f5c28f5c28f8p+6", "0x1.6666666666668p+6",
+            "0x1.e666666666669p+7", "0x1.e666666666669p+7", "0x1.6666666666668p+6", "0x1.eb851eb851ebbp+4",
+        ),
+    ),
+    "arm16k": (
+        ("0x1.fffffffffffffp+7", "0x1.fffffffffffffp+7", "0x1.6666666666666p+6"),
+        (
+            "0x1.3333333333336p+8", "0x1.3333333333336p+8", "0x1.1333333333335p+8",
+            "0x1.3333333333336p+8", "0x1.3333333333336p+8", "0x1.1333333333335p+8",
+            "0x1.1333333333335p+8", "0x1.1333333333335p+8", "0x1.8f5c28f5c28f8p+6",
+        ),
+    ),
+    "toy": (
+        ("0x1.fffffffffffffp+7", "0x1.c000000000000p+6"),
+        (
+            "0x1.3333333333336p+8", "0x1.1333333333335p+8",
+            "0x1.1333333333335p+8", "0x1.f333333333336p+6",
+        ),
+    ),
+    "x86-5level": (
+        ("0x1.2000000000000p+8", "0x1.999999999999ap+6", "0x1.0cccccccccccdp+5"),
+        (
+            "0x1.799999999999dp+8", "0x1.5333333333336p+8", "0x1.2cccccccccccfp+8",
+            "0x1.5333333333336p+8", "0x1.eb851eb851ebcp+6", "0x1.b851eb851eb88p+6",
+            "0x1.2cccccccccccfp+8", "0x1.b851eb851eb88p+6", "0x1.2b851eb851ebap+5",
+        ),
+    ),
+}
+
+#: case -> (geometry preset or JSON file, levels_base)
+PINNED_CASES = {
+    "x86": ("x86", 4),
+    "sv-napot": ("sv-napot", 4),
+    "arm16k": ("arm16k", 4),
+    "toy": (os.path.join(ROOT, "examples", "toy_geometry.json"), 4),
+    "x86-5level": ("x86", 5),
+}
+
+
+def pinned_machine(case):
+    """(walk config, geometry) a run of ``case`` builds its units from."""
+    ref, levels_base = PINNED_CASES[case]
+    preset = GEOMETRY_PRESETS.get(ref) or load_geometry_json(ref)
+    machine = preset.machine(4)
+    return replace(machine.walk, levels_base=levels_base), machine.geometry
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_WALK_TABLES))
+def test_walk_tables_equal_the_walker(case):
+    """Both units' tables hold the pinned walker floats bit for bit, as
+    Python floats."""
+    walk, geometry = pinned_machine(case)
+    native_hex, nested_hex = PINNED_WALK_TABLES[case]
     native = TLBHierarchy(walk, geometry)
-    assert native.walk_table.tolist() == [walker.native_walk(s) for s in levels]
-    assert native.walk_charge == walk.l2_tlb_hit_cycles
     nested = NestedTranslationUnit(walk, geometry, host_table=PageTable(geometry))
-    assert nested.walk_table.tolist() == [
-        walker.nested_walk(g, h) for g in levels for h in levels
-    ]
+    assert [c.hex() for c in native.walk_table] == list(native_hex)
+    assert [c.hex() for c in nested.walk_table] == list(nested_hex)
+    assert {type(c) for c in native.walk_table + nested.walk_table} == {float}
+    assert native.walk_charge == walk.l2_tlb_hit_cycles
     assert nested.walk_charge == 0
 
 
-def test_native_walk_counts_every_walk_at_cached_cycles():
-    """native_walk caches its cycles per level but still counts each walk."""
-    walker = PageWalker(WalkConfig())
-    levels = G.all_levels
-    for _ in range(3):
-        for level in levels:
-            assert walker.native_walk(level) == walker.native_walk_cycles(level)
-    assert walker.walks == 3 * len(levels)
-    total = 0.0
-    for _ in range(3):
-        for level in levels:
-            total += walker.native_walk_cycles(level)
-    assert walker.walk_cycles == total
+@pytest.mark.parametrize("case", sorted(PINNED_WALK_TABLES))
+def test_scalar_access_charges_the_walk_table(case):
+    """A cold access walks for exactly its table entry: every native
+    level, every (guest, host) pair."""
+    walk, geometry = pinned_machine(case)
+    native_hex, nested_hex = PINNED_WALK_TABLES[case]
+    levels = geometry.all_levels
+    for level in levels:
+        unit = TLBHierarchy(walk, geometry)
+        mapping = PageTable(geometry).map_page(VA0, level, 0)
+        cycles = unit.access(VA0, mapping)
+        assert type(cycles) is float and cycles.hex() == native_hex[level]
+        assert unit.stats.walk_cycles == cycles
+    for guest in levels:
+        for host in levels:
+            host_table = PageTable(geometry)
+            host_bytes = geometry.bytes_for(host)
+            for gpa in range(0, geometry.bytes_for(guest), host_bytes):
+                host_table.map_page(gpa, host, gpa // geometry.base_size)
+            unit = NestedTranslationUnit(walk, geometry, host_table)
+            mapping = PageTable(geometry).map_page(VA0, guest, 0)
+            cycles = unit.access(VA0, mapping)
+            key = guest * geometry.n_levels + host
+            assert type(cycles) is float and cycles.hex() == nested_hex[key]
+            assert unit.stats.walks_by_size[min(guest, host)] == 1
+
+
+@pytest.mark.parametrize("preset", ["sv-napot", "arm16k"])
+def test_units_take_walk_facts_from_the_geometry(preset):
+    """A unit built from a bare WalkConfig walks the geometry's ladder, not
+    the x86 one: the per-level facts live only on the geometry."""
+    machine = GEOMETRY_PRESETS[preset].machine(4)
+    geometry = machine.geometry
+    native_hex, nested_hex = PINNED_WALK_TABLES[preset]
+    bare = TLBHierarchy(WalkConfig(), geometry)
+    built = TLBHierarchy(machine.walk, geometry)
+    assert list(bare.walk_table) == list(built.walk_table)
+    assert [c.hex() for c in bare.walk_table] == list(native_hex)
+    bare = NestedTranslationUnit(WalkConfig(), geometry, PageTable(geometry))
+    built = NestedTranslationUnit(machine.walk, geometry, PageTable(geometry))
+    assert list(bare.walk_table) == list(built.walk_table)
+    assert [c.hex() for c in bare.walk_table] == list(nested_hex)

@@ -1,12 +1,25 @@
 """Tests for the set-associative TLB and the walk-cost model."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.config import TLBConfig, WalkConfig
+from repro.config import SCALED_GEOMETRY, TLBConfig, WalkConfig
 from repro.tlb.tlb import SetAssocTLB
-from repro.tlb.walker import PageWalker
 
 BASE, MID, LARGE = 0, 1, 2  # three-tier level indices (x86-shaped test geometry)
+G = SCALED_GEOMETRY
+
+#: the x86 ladder with uncached leaves, walked at one cycle per memory
+#: access with no page-walk-cache hits: its walk tables count accesses
+UNCACHED = replace(
+    G, levels=tuple(replace(lvl, leaf_cached_prob=0.0) for lvl in G.levels)
+)
+COUNTING = WalkConfig(mem_access_cycles=1, pwc_hit_rate=0.0, nested_pwc_hit_rate=0.0)
+
+
+def nested_accesses(guest: int, host: int) -> float:
+    return COUNTING.nested_table(UNCACHED)[guest * UNCACHED.n_levels + host]
 
 
 class TestSetAssocTLB:
@@ -83,50 +96,31 @@ class TestSetAssocTLB:
 
 class TestWalkConfig:
     def test_native_walk_accesses(self):
-        w = WalkConfig()
-        assert w.native_walk_accesses(BASE) == 4
-        assert w.native_walk_accesses(MID) == 3
-        assert w.native_walk_accesses(LARGE) == 2
+        assert COUNTING.native_table(UNCACHED) == (4.0, 3.0, 2.0)
 
     def test_nested_walk_accesses_match_paper(self):
         # Section 2: 24 accesses for 4K+4K, 15 for 2M+2M, 8 for 1G+1G.
-        w = WalkConfig()
-        assert w.nested_walk_accesses(BASE, BASE) == 24
-        assert w.nested_walk_accesses(MID, MID) == 15
-        assert w.nested_walk_accesses(LARGE, LARGE) == 8
+        assert nested_accesses(BASE, BASE) == 24
+        assert nested_accesses(MID, MID) == 15
+        assert nested_accesses(LARGE, LARGE) == 8
 
     def test_nested_mixed_sizes(self):
-        w = WalkConfig()
         # 1GB guest over 4KB host: (2+1)*(4+1)-1 = 14.
-        assert w.nested_walk_accesses(LARGE, BASE) == 14
+        assert nested_accesses(LARGE, BASE) == 14
 
-
-class TestPageWalker:
     def test_larger_pages_walk_faster(self):
-        w = PageWalker(WalkConfig())
-        c_base = w.native_walk(BASE)
-        c_mid = w.native_walk(MID)
-        c_large = w.native_walk(LARGE)
+        c_base, c_mid, c_large = WalkConfig().native_table(G)
         assert c_base > c_mid > c_large
 
     def test_nested_costs_more_than_native(self):
-        w = PageWalker(WalkConfig())
-        assert w.nested_walk(BASE, BASE) > w.native_walk(
-            BASE
-        )
+        native = WalkConfig().native_table(G)
+        nested = WalkConfig().nested_table(G)
+        for level in G.all_levels:
+            assert nested[level * G.n_levels + level] > native[level]
 
     def test_pwc_discount(self):
-        hot = PageWalker(WalkConfig(pwc_hit_rate=1.0))
-        cold = PageWalker(WalkConfig(pwc_hit_rate=0.0))
+        hot = WalkConfig(pwc_hit_rate=1.0).native_table(G)
+        cold = WalkConfig(pwc_hit_rate=0.0).native_table(G)
         # Perfect PWC: only the leaf access remains.
-        assert hot.native_walk(BASE) == WalkConfig().mem_access_cycles
-        assert cold.native_walk(BASE) == 4 * WalkConfig().mem_access_cycles
-
-    def test_stats_accumulate(self):
-        w = PageWalker(WalkConfig())
-        w.native_walk(BASE)
-        w.native_walk(MID)
-        assert w.walks == 2
-        assert w.walk_cycles > 0
-        w.reset_stats()
-        assert w.walks == 0
+        assert hot[BASE] == WalkConfig().mem_access_cycles
+        assert cold[BASE] == 4 * WalkConfig().mem_access_cycles

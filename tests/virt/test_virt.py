@@ -7,6 +7,7 @@ from repro.config import default_machine
 from repro.core.baseline4k import Baseline4KPolicy
 from repro.core.thp import THPPolicy
 from repro.core.trident import TridentPolicy
+from repro.geometries import GEOMETRY_PRESETS
 from repro.obs import Observability
 from repro.sim import batch as sim_batch
 from repro.sim.bench import state_fingerprint
@@ -115,6 +116,31 @@ class TestExchangeHypercall:
         hv.exchange_ranges([(0, MID, MID)])
         # After the exchange the covering page was split to mid granularity.
         assert hv.host_table.translate(hv.hva(0)).page_size == LVL_MID
+        vm.host.buddy.check_invariants()
+
+    def test_exchange_tries_every_level_on_sv_napot(self):
+        """On the four-level SVNAPOT ladder, a 2MB-class range between two
+        2MB-class EPT mappings is one exchange and both mappings stay
+        whole: the granules are the geometry's levels."""
+        napot = GEOMETRY_PRESETS["sv-napot"]
+        vm = VirtualMachine(
+            napot.machine(12), napot.machine(18), TridentPolicy, THPPolicy,
+            seed=2,
+        )
+        hv = vm.hypervisor
+        g = vm.host.geometry
+        level = g.thp_level
+        size = g.bytes_for(level)
+        assert g.name_of(level) == "mega" and level != g.top_level
+        for off in range(0, 2 * size, g.base_size):
+            hv.ensure_backed(off)
+        before = [hv.host_table.translate(hv.hva(gpa)) for gpa in (0, size)]
+        assert [m.page_size for m in before] == [level, level]
+        pfns = [m.pfn for m in before]
+        assert hv.exchange_ranges([(0, size, size)]) == 1
+        after = [hv.host_table.translate(hv.hva(gpa)) for gpa in (0, size)]
+        assert [m.page_size for m in after] == [level, level]
+        assert [m.pfn for m in after] == pfns[::-1]
         vm.host.buddy.check_invariants()
 
     def test_misaligned_exchange_rejected(self):
