@@ -28,7 +28,7 @@ Custom geometries load from JSON via :func:`load_geometry_json`; see
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.config import (
     CostModel,
@@ -205,9 +205,32 @@ def resolve_geometry(name_or_path: str) -> GeometryPreset:
     )
 
 
+#: the keys a custom geometry file may give, per object; any other key is
+#: an error, so a misspelt field cannot silently leave its default
+_TOP_KEYS = (
+    "name", "title", "description", "base_shift", "levels", "l2_groups", "walk",
+)
+_LEVEL_KEYS = (
+    "name", "label", "order", "promotable", "thp_target", "l1", "l2",
+    "levels_skipped", "leaf_cached_prob",
+)
+_TLB_KEYS = ("entries", "ways")
+_WALK_KEYS = tuple(f.name for f in fields(WalkConfig))
+
+
+def _reject_unknown_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
+    for key in obj:
+        if key not in allowed:
+            raise ValueError(
+                f"{where}: unknown key {key!r}; expected one of "
+                f"{', '.join(allowed)}"
+            )
+
+
 def _tlb_config(obj: object, where: str) -> TLBConfig:
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be an object")
+    _reject_unknown_keys(obj, _TLB_KEYS, where)
     try:
         return TLBConfig(int(obj["entries"]), int(obj["ways"]))
     except KeyError as e:
@@ -234,6 +257,7 @@ def geometry_from_dict(spec: dict, *, name: str = "") -> GeometryPreset:
     """
     if not isinstance(spec, dict):
         raise ValueError("geometry spec must be a JSON object")
+    _reject_unknown_keys(spec, _TOP_KEYS, "geometry spec")
     for key in ("base_shift", "levels"):
         if key not in spec:
             raise ValueError(f"geometry spec is missing {key!r}")
@@ -249,6 +273,7 @@ def geometry_from_dict(spec: dict, *, name: str = "") -> GeometryPreset:
     for i, raw in enumerate(raw_levels):
         if not isinstance(raw, dict):
             raise ValueError(f"levels[{i}] must be an object")
+        _reject_unknown_keys(raw, _LEVEL_KEYS, f"levels[{i}]")
         for key in ("name", "order", "l1"):
             if key not in raw:
                 raise ValueError(f"levels[{i}] is missing {key!r}")
@@ -285,11 +310,14 @@ def geometry_from_dict(spec: dict, *, name: str = "") -> GeometryPreset:
         name=str(spec.get("name", name)),
     )
     walk_spec = _object_or_empty(spec, "walk")
-    walk = WalkConfig(
-        levels_base=int(walk_spec.get("levels_base", 4)),
-        mem_access_cycles=int(walk_spec.get("mem_access_cycles", 160)),
-        pwc_hit_rate=float(walk_spec.get("pwc_hit_rate", 0.80)),
-    )
+    _reject_unknown_keys(walk_spec, _WALK_KEYS, "'walk'")
+    # Each given field is cast to its default's type (int or float); the
+    # rest keep the WalkConfig defaults.
+    default = WalkConfig()
+    walk = WalkConfig(**{
+        key: type(getattr(default, key))(value)
+        for key, value in walk_spec.items()
+    })
     scale = X86_GEOMETRY.large_size // geometry.large_size
     return GeometryPreset(
         key=geometry.name or name or "custom",

@@ -18,7 +18,7 @@ stream is cut into *segments* inside which the simulation is closed-form:
 
 Within a segment the page tables are static, so mappings are resolved
 per-*extent* rather than per-access: each page-table level is probed once
-per distinct VPN (``np.unique``) instead of once per access, and the TLB
+per distinct VPN (``distinct_values``) instead of once per access, and the TLB
 hierarchy is simulated by the vectorized reuse-distance kernel in
 :mod:`repro.tlb.batch`, which charges each access's walk by its *walk key*
 (the leaf level natively, the (guest, host) level pair under nesting).
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.tlb.batch import hierarchy_touch_batch
+from repro.tlb.batch import distinct_values, hierarchy_touch_batch
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,7 +206,7 @@ class BatchEngine:
         pagetable = owner.pagetable
         # Touched-page bookkeeping and access bits, once per distinct page
         # instead of once per access (both are idempotent set/flag writes).
-        base_vpns = np.unique(seg >> pagetable._shifts[0])
+        base_vpns = distinct_values(seg >> pagetable._shifts[0])
         owner.touched_pages.update(base_vpns.tolist())
         for size in range(pagetable.n_levels):
             level = pagetable._levels[size]
@@ -219,7 +219,7 @@ class BatchEngine:
                 idx = np.flatnonzero(sizes == size)
                 if len(idx) == 0:
                     continue
-                vpn_list = np.unique(
+                vpn_list = distinct_values(
                     seg[idx] >> pagetable._shifts[size]
                 ).tolist()
             for vpn in vpn_list:  # trd: ignore[TRD008] accessed-bit writes on distinct pages only; bounded by segment footprint, not access count
@@ -241,7 +241,7 @@ def frame_addresses(
         if len(idx) == 0:
             continue
         shift = pagetable._shifts[size]
-        uniq, inverse = np.unique(vas[idx] >> shift, return_inverse=True)
+        uniq, inverse = distinct_values(vas[idx] >> shift, return_inverse=True)
         level = pagetable._levels[size]
         pfns = np.fromiter(
             (level[u].pfn for u in uniq.tolist()),
@@ -275,7 +275,7 @@ def translate_segment(pagetable, seg: np.ndarray):
         if len(idx) == 0:
             break
         vpns = seg[idx] >> pagetable._shifts[size]
-        uniq, inverse = np.unique(vpns, return_inverse=True)
+        uniq, inverse = distinct_values(vpns, return_inverse=True)
         present = np.fromiter(
             (u in level for u in uniq.tolist()),
             dtype=bool,

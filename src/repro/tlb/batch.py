@@ -12,34 +12,49 @@ reuse-distance characterization of LRU:
 
 Stack distance is a property of the reference string alone — in these TLBs
 *every* access leaves its key most-recently-used (hits refresh, misses
-insert) — so hit/miss classification needs no sequential cache state:
+insert) — so hit/miss classification needs no sequential cache state.  A
+call of at most :data:`_SMALL_CALL` keys is replayed through the set dicts
+(:func:`_replay_scalar`): there the steps below cost more in fixed numpy
+overhead than the replay costs per key.  A larger call runs:
 
 1. **Initial state as pseudo-accesses.**  Each touched set's resident keys
    are prepended in LRU→MRU order; a key resident at depth ``d`` then
    behaves exactly as if referenced ``d`` steps in the past (the standard
    warm-start construction).
-2. **Set grouping.**  A stable sort by set index makes each set's
-   subsequence contiguous while preserving stream order within it.
+2. **Set grouping.**  A stable argsort of the set indices, held in an
+   unsigned dtype of at most 16 bits so that numpy radix-sorts them, makes
+   each set's subsequence contiguous while preserving stream order within
+   it.  A key fixes its set, so no later compare needs the set.
 3. **Run compression.**  An access whose key equals the set's previous
    access has stack distance 0 — a guaranteed hit.  One shifted compare
    classifies and removes these; removal never changes any other access's
    distance, because a window between two references to ``k`` contains no
    other ``k`` (so every removed duplicate's representative survives in
    the window).
-4. **Near-window matches.**  On the compressed stream, an access whose
-   key reappears within ``W`` positions back (same set) has at most
-   ``W - 1`` distinct keys in between — a guaranteed hit.  ``W - 1``
-   shifted compares classify these exactly.
-5. **Exact fallback for the rest.**  The few accesses left unresolved
-   (previous reference more than ``W`` compressed positions back) get an
-   explicit distinct count over their window via ``np.unique``; no
-   previous reference at all is a compulsory miss.  If the total window
-   volume would be pathological, the whole call falls back to an exact
-   dict replay instead.
+4. **Links.**  Dense key ids (:func:`distinct_values`) and one radix
+   argsort of them give each compressed access the position of its
+   previous same-key reference, and each key its last position.  A first
+   reference is a compulsory miss; a re-reference whose window (the
+   positions strictly between the two references) is shorter than ``W``
+   holds fewer than ``W`` distinct keys — a guaranteed hit.
+5. **Windows by range-OR.**  Each key gets one bit, its rank among the
+   call's keys of its set mod the mask width (the narrowest of 8, 16, 32
+   and 64 bits that holds the largest set).  A longer window is the OR of
+   two overlapping power-of-two blocks of a sparse table of ORs over the
+   compressed stream, so its popcount costs O(1).  The window lies inside
+   its set's block and never holds its own key, so when the set has at
+   most 64 keys (distinct bits) the popcount *is* the stack distance.
+   Above 64 keys
+   it is a lower bound: ``>= W`` is a certain miss, and the undecided rest
+   get an exact first-occurrence count (:func:`_resolve_far`).  If that
+   count's window volume would be pathological, the whole call falls back
+   to the dict replay instead.
 6. **State write-back.**  The final per-set LRU contents are, by the same
-   every-access-ends-MRU property, the last ``W`` distinct keys of the
-   set's reference string ordered by last reference — rebuilt wholesale
-   with two lexsorts, byte-identical to a scalar replay's dicts.
+   every-access-ends-MRU property, the ``W`` keys of the set with the
+   latest last references, LRU first.  The keys' last positions, taken in
+   stream order, are already sorted by (set, last reference), so each
+   set's dict is the tail of its block — byte-identical to a scalar
+   replay's dicts.
 
 The L2 structures see only the subsequence of accesses that missed L1 —
 including the modeled aliasing of the shared L2, where 4KB and 2MB VPNs mix
@@ -66,11 +81,82 @@ from repro.tlb.tlb import SetAssocTLB
 #: ``docs/performance.md``)
 _PER_EVENT_MISSES = 48
 
+#: calls of at most this many keys take the exact dict replay of
+#: :func:`_replay_scalar`.  Break-even, measured on a 2-vCPU Xeon with
+#: numpy 2.4 on warm zipf keys: the vectorized steps cost 110-220 us
+#: whatever the length, the replay about 0.55 us a key (a 1-set 4-way
+#: TLB: 16 keys 113 us vectorized against 10 us replayed, 256 keys 123
+#: against 142 us, 1,024 keys 158 against 585 us), and the two cross
+#: between 128 and 512 keys on (1, 4), (4, 4) and (16, 12) TLBs
+_SMALL_CALL = 256
+
+#: bits of one window mask: a set with at most this many keys in a call
+#: gives each key its own bit, and popcounts are exact stack distances
+_MASK_BITS = 64
+
+#: a span of at most this many times the value count is marked in a
+#: presence array by :func:`distinct_values` instead of sorted
+_PRESENCE_SPAN = 4
+
 #: per-call budget (scaled by stream length) of long-window elements the
 #: vectorized first-occurrence counts may process; real streams stay far
 #: below it — only adversarial overlap patterns exceed it, and those fall
 #: back to an exact dict replay
 _SCAN_BUDGET_PER_ELEMENT = 16
+
+
+def _radix_dtype(bound: int):
+    """Smallest unsigned dtype holding ``0 .. bound - 1`` in at most 16
+    bits, which numpy's stable argsort radix-sorts; ``np.intp`` above."""
+    if bound <= 1 << 8:
+        return np.uint8
+    if bound <= 1 << 16:
+        return np.uint16
+    return np.intp
+
+
+def distinct_values(values: np.ndarray, return_inverse: bool = False):
+    """Sorted distinct ``values`` and, optionally, each element's index
+    into them: ``np.unique(values, return_inverse=...)`` without hashing.
+
+    Since numpy 2.3, ``np.unique`` without return flags counts distinct
+    values in a hash table, 5-21x slower on int64 page numbers than a
+    sort (``docs/performance.md``).  A span of at most
+    :data:`_PRESENCE_SPAN` × ``len(values)`` is marked in a presence
+    array instead; a wider one is sorted (argsorted when indices are
+    asked for) and compared with its neighbour.
+    """
+    n = len(values)
+    if n == 0:
+        uniq = values[:0].copy()
+        return (uniq, np.zeros(0, dtype=np.intp)) if return_inverse else uniq
+    lo = int(values.min())
+    span = int(values.max()) - lo + 1
+    if span <= _PRESENCE_SPAN * n:
+        offsets = values - lo
+        present = np.zeros(span, dtype=bool)
+        present[offsets] = True
+        where = np.flatnonzero(present)
+        uniq = (where + lo).astype(values.dtype, copy=False)
+        if not return_inverse:
+            return uniq
+        index = np.empty(span, dtype=np.intp)
+        index[where] = np.arange(len(where))
+        return uniq, index[offsets]
+    if not return_inverse:
+        ordered = np.sort(values)
+    else:
+        order = np.argsort(values)
+        ordered = values[order]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    uniq = ordered[first]
+    if not return_inverse:
+        return uniq
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return uniq, inverse
 
 
 def lru_batch_lookup(tlb: SetAssocTLB, keys: np.ndarray) -> np.ndarray:
@@ -85,22 +171,23 @@ def lru_batch_lookup(tlb: SetAssocTLB, keys: np.ndarray) -> np.ndarray:
                 tlb.insert(int(k))
             hits.append(hit)
 
-    but classified by the vectorized stack-distance scheme described in
-    the module docstring and finished with a wholesale state write-back.
+    but, above :data:`_SMALL_CALL` keys, classified by the vectorized
+    stack-distance scheme described in the module docstring and finished
+    with a wholesale state write-back.
     """
     n = len(keys)
-    hits = np.zeros(n, dtype=bool)
-    if n == 0:
-        return hits
+    if n <= _SMALL_CALL:
+        return _replay_scalar(tlb, keys)
     nsets = tlb.sets
     ways = tlb.ways
 
+    set_dtype = _radix_dtype(nsets)
     if nsets == 1:
-        setids = np.zeros(n, dtype=np.int64)
+        setids = None
         touched_sets = np.zeros(1, dtype=np.int64)
     else:
-        setids = keys % nsets
-        touched_sets = np.unique(setids)
+        setids = (keys % nsets).astype(set_dtype)
+        touched_sets = np.flatnonzero(np.bincount(setids, minlength=nsets))
 
     # Pseudo-accesses encoding the initial per-set LRU state.
     pseudo_keys: list[int] = []
@@ -110,124 +197,163 @@ def lru_batch_lookup(tlb: SetAssocTLB, keys: np.ndarray) -> np.ndarray:
             pseudo_keys.append(k)
             pseudo_sets.append(s)
     n_pseudo = len(pseudo_keys)
-
+    key_all = keys
     if n_pseudo:
         key_all = np.concatenate(
             [np.asarray(pseudo_keys, dtype=np.int64), keys]
         )
-        set_all = np.concatenate(
-            [np.asarray(pseudo_sets, dtype=np.int64), setids]
-        )
-        orig_all = np.concatenate(
-            [np.full(n_pseudo, -1, dtype=np.int64), np.arange(n, dtype=np.int64)]
-        )
-    else:
-        key_all = keys
-        set_all = setids
-        orig_all = np.arange(n, dtype=np.int64)
 
-    # Group per set, stream order within each set (pseudos sort first).
-    if nsets == 1:
-        skey, sset, sorig = key_all, set_all, orig_all
-    else:
+    # Step 2: group per set, stream order within each set (pseudos first).
+    order = None
+    skey = key_all
+    if nsets > 1:
+        set_all = setids
+        if n_pseudo:
+            set_all = np.concatenate(
+                [np.asarray(pseudo_sets, dtype=set_dtype), setids]
+            )
         order = np.argsort(set_all, kind="stable")
         skey = key_all[order]
-        sset = set_all[order]
-        sorig = orig_all[order]
 
+    # Step 3: distance-0 duplicates are hits; the rest form the
+    # compressed stream.
     m = len(skey)
-    # Step 3: distance-0 duplicates.
-    dup = np.zeros(m, dtype=bool)
-    if nsets == 1:
-        dup[1:] = skey[1:] == skey[:-1]
-    else:
-        dup[1:] = (skey[1:] == skey[:-1]) & (sset[1:] == sset[:-1])
-    dup_orig = sorig[dup]
-    hits[dup_orig[dup_orig >= 0]] = True
-
-    keep = ~dup
-    ckey = skey[keep]
-    cset = sset[keep]
-    corig = sorig[keep]
+    fresh = np.empty(m, dtype=bool)
+    fresh[0] = True
+    np.not_equal(skey[1:], skey[:-1], out=fresh[1:])
+    cpos = np.flatnonzero(fresh)
+    ckey = skey[cpos]
     mc = len(ckey)
 
-    # Step 4: previous reference within `ways` compressed positions.
-    # (Offset 1 can never match — compression removed adjacent repeats.)
+    # Step 4: links.  One radix argsort of dense key ids lists each key's
+    # references in stream order.
+    uniq, dense = distinct_values(ckey, return_inverse=True)
+    nkeys = len(uniq)
+    by_key = np.argsort(dense.astype(_radix_dtype(nkeys)), kind="stable")
+    key_counts = np.bincount(dense, minlength=nkeys)
+    key_ends = np.cumsum(key_counts)
+    prev = np.empty(mc, dtype=np.intp)
+    prev[by_key[1:]] = by_key[:-1]
+    prev[by_key[key_ends - key_counts]] = -1
+
+    if nsets == 1:
+        key_sets = np.zeros(nkeys, dtype=set_dtype)
+    else:
+        key_sets = (uniq % nsets).astype(set_dtype)
+    set_sizes = np.bincount(key_sets, minlength=nsets)
+
+    # Step 5: a first reference misses.  A re-reference whose window is
+    # shorter than `ways` holds fewer than `ways` keys and hits; a longer
+    # window's keys are counted by bitmask.
     chit = np.zeros(mc, dtype=bool)
-    for d in range(2, ways + 1):
-        if mc <= d:
-            break
-        if nsets == 1:
-            chit[d:] |= ckey[d:] == ckey[:-d]
-        else:
-            chit[d:] |= (ckey[d:] == ckey[:-d]) & (cset[d:] == cset[:-d])
-    near_orig = corig[chit]
-    hits[near_orig[near_orig >= 0]] = True
+    q = np.flatnonzero(prev >= 0)
+    lo = prev[q] + 1
+    window = q - lo  # at least 1: compression removed repeats
+    hit = window < ways
+    far = np.flatnonzero(~hit)
+    if len(far):
+        q_far, lo_far = q[far], lo[far]
+        distinct = _window_popcounts(
+            dense, key_sets, set_sizes, q_far, lo_far, window[far]
+        )
+        far_hit = distinct < ways
+        if set_sizes.max() > _MASK_BITS:
+            # Lower bounds: a count below `ways` is certain only in a set
+            # whose keys all have their own bit; the scan counts the rest.
+            exact = (set_sizes <= _MASK_BITS)[key_sets][dense[q_far]]
+            open_q = far_hit & ~exact
+            if open_q.any() and not _resolve_far(
+                chit, prev, q_far[open_q], lo_far[open_q], ways
+            ):
+                # Pathological window volume: exact dict replay (rare).
+                return _replay_scalar(tlb, keys)
+            far_hit &= exact
+        hit[far] = far_hit
+    chit[q[hit]] = True
 
-    # Step 5: the unresolved tail needs exact distinct counts.
-    open_idx = np.flatnonzero(~chit & (corig >= 0))
-    if len(open_idx):
-        if not _resolve_far(
-            tlb, hits, ckey, cset, corig, open_idx, ways, nsets
-        ):
-            # Pathological window volume: exact dict replay (rare).
-            return _replay_scalar(tlb, keys)
+    # Back to stream order: duplicates hit, compressed accesses as
+    # classified.
+    grouped_hit = ~fresh
+    grouped_hit[cpos] = chit
+    if order is None:
+        hits = grouped_hit[n_pseudo:]
+    else:
+        hits_all = np.empty(m, dtype=bool)
+        hits_all[order] = grouped_hit
+        hits = hits_all[n_pseudo:]
 
-    hit_count = int(hits.sum())
+    hit_count = int(np.count_nonzero(hits))
     tlb.hits += hit_count
     tlb.misses += n - hit_count
 
-    _write_back_state(tlb, ckey, cset, touched_sets, nsets)
+    # Step 6: each key's last position, in stream order.
+    last = np.sort(by_key[key_ends - 1])
+    _write_back_state(tlb, ckey[last], set_sizes, touched_sets)
     return hits
 
 
-def _resolve_far(
-    tlb, hits, ckey, cset, corig, open_idx, ways, nsets
-) -> bool:
-    """Classify accesses whose previous same-key reference is far behind.
+def _mask_dtype(widest: int):
+    """Narrowest unsigned dtype with a bit for each key of the largest set
+    (``widest`` keys): fewer bytes to OR and to touch.  ``np.uint64``,
+    :data:`_MASK_BITS` bits, when no dtype has enough."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if widest <= np.iinfo(dtype).bits:
+            return dtype
+    return np.uint64
 
+
+def _window_popcounts(dense, key_sets, set_sizes, q, lo, window):
+    """Distinct-key count of each window ``lo .. q - 1`` by bitmask: exact
+    in a set of at most :data:`_MASK_BITS` keys, a lower bound above.
+
+    A key's bit is its rank among the call's keys of its set, mod the
+    mask width: the narrowest unsigned width that holds the largest set's
+    keys, :data:`_MASK_BITS` at most.  Row ``k`` of the sparse table ORs
+    the bits of the ``2**k`` compressed positions from each column on; a
+    window of length ``w`` with ``2**k <= w < 2**(k + 1)`` is the OR of
+    the row-``k`` blocks starting at ``lo`` and ending at ``q - 1``.  Rows
+    go up to the longest window only.
+    """
+    if len(set_sizes) == 1:
+        rank = np.arange(len(key_sets))
+    else:
+        by_set = np.argsort(key_sets, kind="stable")
+        set_start = np.cumsum(set_sizes) - set_sizes
+        rank = np.empty(len(key_sets), dtype=np.intp)
+        rank[by_set] = np.arange(len(key_sets)) - set_start[key_sets[by_set]]
+    mask = _mask_dtype(int(set_sizes.max()))
+    key_bits = np.left_shift(mask(1), (rank % np.iinfo(mask).bits).astype(mask))
+    mc = len(dense)
+    row = np.frexp(window.astype(np.float64))[1] - 1  # floor(log2(window))
+    top = int(row.max())
+    table = np.empty((top + 1, mc), dtype=mask)
+    np.take(key_bits, dense, out=table[0])
+    for k in range(1, top + 1):
+        half = 1 << (k - 1)
+        np.bitwise_or(
+            table[k - 1, : mc - half], table[k - 1, half:],
+            out=table[k, : mc - half],
+        )
+    flat = table.reshape(-1)
+    start = row * np.intp(mc)  # int64: row holds int32 exponents
+    return np.bitwise_count(flat[start + lo] | flat[start + q - (1 << row)])
+
+
+def _resolve_far(chit, prev, q, lo, ways) -> bool:
+    """Exact stack distances of the windows the bitmasks left open.
+
+    ``q`` are compressed positions, ``lo`` the first positions of their
+    windows (one past the previous same-key reference) and ``prev`` the
+    links of the whole compressed stream; hits are marked in ``chit``.
     Returns False when the aggregate window volume is too large to count
     economically (caller falls back to a dict replay).
     """
-    # Previous occurrence of each compressed element's (set, key): one
-    # stable argsort of a fused (set, key) integer groups equal pairs in
-    # stream order, so each group's adjacency gives the links.  (The fused
-    # value only needs to be injective; fall back to a lexsort in the
-    # astronomically-unlikely case it would overflow int64.)
-    mc = len(ckey)
-    if nsets == 1:
-        g = np.argsort(ckey, kind="stable")
-        gk = ckey[g]
-        same = gk[1:] == gk[:-1]
-    else:
-        kspan = int(ckey.max()) + 1
-        if kspan < (1 << 62) // nsets:
-            fused = cset * kspan + ckey
-            g = np.argsort(fused, kind="stable")
-            gf = fused[g]
-            same = gf[1:] == gf[:-1]
-        else:  # pragma: no cover - VPNs never get this large
-            g = np.lexsort((np.arange(mc), ckey, cset))
-            same = (ckey[g][1:] == ckey[g][:-1]) & (cset[g][1:] == cset[g][:-1])
-    prev = np.full(mc, -1, dtype=np.int64)
-    prev[g[1:][same]] = g[:-1][same]
-
-    op = prev[open_idx]
-    have_prev = op >= 0
-    # Compulsory misses (no previous reference, not resident): nothing to
-    # mark — `hits` already defaults to False.
-    q_idx = open_idx[have_prev]
-    if len(q_idx) == 0:
-        return True
-    q_prev = op[have_prev]
-    q_orig = corig[q_idx]
-
     # A position j holds its window's *first* occurrence of its key
     # exactly when its own previous reference sits at or before the window
     # start (prev[j] < lo); each distinct key in the window contributes
     # exactly one such position, so the stack distance of a query
     # (p -> i) is a straight count over prev[p+1:i].  (The window cannot
-    # contain the query's own key — q_prev is the *latest* previous
+    # contain the query's own key — lo - 1 is its *latest* previous
     # reference — and never mixes sets: the array is set-sorted and both
     # endpoints are in the query's set block.)
     #
@@ -238,10 +364,9 @@ def _resolve_far(
     # window (hit), and the chunk doubles each round.  The aggregate
     # gathered volume is budgeted so adversarial overlap patterns cannot
     # go quadratic (beyond the budget: exact dict replay).
+    mc = len(prev)
     budget = max(5_000_000, _SCAN_BUDGET_PER_ELEMENT * mc)
-    lo = q_prev + 1
-    hi = q_idx
-    orig = q_orig
+    hi = q
     counts = np.zeros(len(lo), dtype=np.int64)
     start = 0
     chunk = max(8, 2 * ways)
@@ -253,7 +378,7 @@ def _resolve_far(
         budget -= len(lo) * chunk
         exhausted = lo + (start + chunk) >= hi
         missed = counts >= ways
-        hits[orig[exhausted & ~missed]] = True
+        chit[hi[exhausted & ~missed]] = True
         keep = ~exhausted & ~missed
         if not keep.any():
             return True
@@ -261,15 +386,14 @@ def _resolve_far(
             return False
         lo = lo[keep]
         hi = hi[keep]
-        orig = orig[keep]
         counts = counts[keep]
         start += chunk
         chunk = min(chunk * 2, 65536)
 
 
-# trd: scalar-fallback[equivalence-gated slow path; chosen only when the chunk heuristic rejects the vectorized kernel]
+# trd: scalar-fallback[equivalence-gated slow path; small calls, and calls whose far-window volume exceeds the scan budget]
 def _replay_scalar(tlb: SetAssocTLB, keys: np.ndarray) -> np.ndarray:
-    """Exact dict replay — the guaranteed-correct slow path."""
+    """Exact dict replay — the guaranteed-correct path for small calls."""
     hits = np.empty(len(keys), dtype=bool)
     ways = tlb.ways
     sets_list = tlb._sets
@@ -293,50 +417,30 @@ def _replay_scalar(tlb: SetAssocTLB, keys: np.ndarray) -> np.ndarray:
     return hits
 
 
-# trd: scalar-fallback[per-set backward tail scan bounded by ways*sets, not stream length]
+# trd: scalar-fallback[one dict per touched set, at most `ways` keys each: bounded by TLB geometry, not stream length]
 def _write_back_state(
     tlb: SetAssocTLB,
-    ckey: np.ndarray,
-    cset: np.ndarray,
+    last_keys: np.ndarray,
+    set_sizes: np.ndarray,
     touched_sets: np.ndarray,
-    nsets: int,
 ) -> None:
-    """Rebuild each touched set's dict: last ``ways`` distinct keys, in
-    last-reference order (LRU first) — exactly the scalar end state.
+    """Rebuild each touched set's dict: its ``ways`` keys with the latest
+    last references, in last-reference order (LRU first) — exactly the
+    scalar end state.
 
-    Works on the compressed, set-sorted stream (initial-state pseudo
-    entries included): run compression only drops *adjacent* repeats, so
-    the backward order of last references is unchanged.  Each set is
-    scanned backward from its block's end in geometrically growing tail
-    slices — the resident keys are almost always found within the first
-    few dozen elements.
+    ``last_keys`` holds every key of the call (initial-state pseudo
+    entries included) at its last position in the set-sorted stream, in
+    stream order: sets ascending, each set's keys by last reference.
+    ``set_sizes`` counts each set's keys, so a set's block ends at the
+    running total.
     """
     ways = tlb.ways
-    if nsets == 1:
-        blocks = [(int(touched_sets[0]), 0, len(ckey))]
-    else:
-        starts = np.searchsorted(cset, touched_sets, side="left")
-        ends = np.searchsorted(cset, touched_sets, side="right")
-        blocks = list(
-            zip(touched_sets.tolist(), starts.tolist(), ends.tolist())
-        )
-    for s, lo, hi in blocks:
-        resident: list[int] = []
-        seen: set[int] = set()
-        take = 8 * ways
-        j = hi
-        while j > lo and len(resident) < ways:
-            nlo = max(lo, j - take)
-            for k in reversed(ckey[nlo:j].tolist()):
-                if k not in seen:
-                    seen.add(k)
-                    resident.append(k)
-                    if len(resident) >= ways:
-                        break
-            j = nlo
-            take *= 2
-        resident.reverse()
-        tlb._sets[s] = dict.fromkeys(resident)
+    ends = np.cumsum(set_sizes)[touched_sets]
+    starts = np.maximum(ends - set_sizes[touched_sets], ends - ways)
+    for s, lo, hi in zip(
+        touched_sets.tolist(), starts.tolist(), ends.tolist()
+    ):
+        tlb._sets[s] = dict.fromkeys(last_keys[lo:hi].tolist())
 
 
 def hierarchy_touch_batch(
@@ -385,15 +489,11 @@ def hierarchy_touch_batch(
     # position with raw VPN keys — the scalar path's modeled aliasing.
     miss_sizes = levels[miss_idx]
     l2_hit = np.zeros(len(miss_idx), dtype=bool)
-    # Keyed on the structure itself (identity): shared L2s dedupe, and
-    # iteration follows ascending level order deterministically.
-    by_struct: dict[SetAssocTLB, list[int]] = {}
-    for size in range(n_levels):
-        l2 = hierarchy._l2_by_level[size]
-        by_struct.setdefault(l2, []).append(size)
-    for l2, struct_sizes in by_struct.items():
-        sel = np.isin(miss_sizes, struct_sizes)
-        rows = np.flatnonzero(sel)
+    # Structures in order of their first level, as built once per
+    # hierarchy: shared L2s dedupe, and the order is deterministic.
+    miss_structs = hierarchy._l2_index_of_level[miss_sizes]
+    for index, l2 in enumerate(hierarchy._l2_structs):
+        rows = np.flatnonzero(miss_structs == index)
         if len(rows) == 0:
             continue
         l2_hit[rows] = lru_batch_lookup(l2, vpns[miss_idx[rows]])

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.config import FREQ_GHZ, PageGeometry, WalkConfig
 from repro.tlb.tlb import SetAssocTLB
 from repro.vm.pagetable import Mapping
@@ -99,6 +101,14 @@ class TLBHierarchy:
         self.l2 = {name: SetAssocTLB(cfg) for name, cfg in geometry.l2_groups}
         #: level -> the L2 structure its section feeds
         self._l2_by_level = [self.l2[lvl.tlb.l2] for lvl in geometry.levels]
+        #: the L2 structures the levels feed, in order of their first
+        #: level, and each level's index into that tuple: the batch
+        #: engine's grouping of L1 misses by structure
+        self._l2_structs = tuple(dict.fromkeys(self._l2_by_level))
+        self._l2_index_of_level = np.array(
+            [self._l2_structs.index(l2) for l2 in self._l2_by_level],
+            dtype=np.int64,
+        )
         #: walk key -> cycles of one walk, read by the scalar path and the
         #: batch engine alike; a native walk's key is its leaf level
         self.walk_table = walk.native_table(geometry)

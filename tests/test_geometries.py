@@ -10,6 +10,7 @@ could repoint.
 """
 
 import json
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -22,6 +23,7 @@ from repro.config import (
     PageLevel,
     TLBConfig,
     TLBSection,
+    WalkConfig,
     default_machine,
 )
 from repro.geometries import (
@@ -260,6 +262,69 @@ class TestGeometryFromDict:
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 1
         assert out[0].startswith("error: ") and message in out[0]
+
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (
+                lambda s: s.update(base_shfit=12),
+                "geometry spec: unknown key 'base_shfit'",
+            ),
+            (
+                lambda s: s["levels"][1].update(leaf_cache_prob=0.5),
+                "levels[1]: unknown key 'leaf_cache_prob'",
+            ),
+            (
+                lambda s: s["levels"][0]["l1"].update(way=4),
+                "levels[0].l1: unknown key 'way'",
+            ),
+            (
+                lambda s: s["l2_groups"]["shared"].update(entires=64),
+                "l2_groups[shared]: unknown key 'entires'",
+            ),
+            (
+                lambda s: s.update(walk={"l2_tlb_hit": 9}),
+                "'walk': unknown key 'l2_tlb_hit'",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "describe"])
+    def test_unknown_keys_exit_two_with_one_line(
+        self, mutate, message, command, tmp_path, capsys
+    ):
+        """A misspelt key is an error naming it and where it is, never a
+        silently kept default."""
+        import copy
+
+        spec = copy.deepcopy(self.SPEC)
+        mutate(spec)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        assert main(["geometry", command, str(path)]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1
+        assert out[0].startswith("error: ") and message in out[0]
+
+    def test_walk_reads_every_walk_config_field(self):
+        walk = {
+            "levels_base": 5,
+            "mem_access_cycles": 100,
+            "pwc_hit_rate": 0.5,
+            "nested_pwc_hit_rate": 0.9,
+            "l2_tlb_hit_cycles": 99,
+        }
+        preset = geometry_from_dict(dict(self.SPEC, walk=walk))
+        assert preset.walk == WalkConfig(**walk)
+        assert geometry_from_dict(self.SPEC).walk == WalkConfig()
+
+    @pytest.mark.parametrize(
+        "name", ["toy_geometry.json", *sorted(GEOMETRY_PRESETS)]
+    )
+    def test_shipped_geometries_still_load(self, name):
+        if name.endswith(".json"):
+            name = str(Path(__file__).parent.parent / "examples" / name)
+        assert resolve_geometry(name).geometry.n_levels >= 2
 
 
 def test_each_machine_reads_its_own_top_level():

@@ -59,8 +59,7 @@ def run_case(keys, ways: int, sets: int, warm_keys=()) -> None:
     assert_identical(a, b, ref, got)
 
 
-def test_randomized_streams_match_scalar():
-    """Randomized geometry × universe × length sweep, cold and warm."""
+def _randomized_sweep():
     rng = np.random.default_rng(12345)
     for _ in range(400):
         ways = int(rng.integers(1, 9))
@@ -74,8 +73,7 @@ def test_randomized_streams_match_scalar():
         run_case(keys, ways, sets, warm_keys=warm_keys.tolist())
 
 
-def test_zipf_like_heavy_duplication():
-    """Mostly a handful of hot keys with a rare cold tail (the bench shape)."""
+def _zipf_sweep():
     rng = np.random.default_rng(77)
     for _ in range(60):
         ways = int(rng.integers(1, 9))
@@ -85,6 +83,32 @@ def test_zipf_like_heavy_duplication():
         rare = rng.integers(0, 10000, size=n)
         keys = np.where(rng.random(n) < 0.02, rare, hot)
         run_case(keys, ways, sets)
+
+
+@pytest.fixture
+def vectorized_only(monkeypatch):
+    """Every call takes the vectorized path, however short."""
+    monkeypatch.setattr(batch_mod, "_SMALL_CALL", 0)
+
+
+def test_randomized_streams_match_scalar():
+    """Randomized geometry × universe × length sweep, cold and warm."""
+    _randomized_sweep()
+
+
+def test_randomized_streams_match_scalar_vectorized(vectorized_only):
+    """The same sweep with short streams forced onto the vectorized path."""
+    _randomized_sweep()
+
+
+def test_zipf_like_heavy_duplication():
+    """Mostly a handful of hot keys with a rare cold tail (the bench shape)."""
+    _zipf_sweep()
+
+
+def test_zipf_like_heavy_duplication_vectorized(vectorized_only):
+    """The same sweep with every call on the vectorized path."""
+    _zipf_sweep()
 
 
 @pytest.mark.parametrize("ways", [3, 4, 8])
@@ -127,13 +151,94 @@ def test_budget_exhaustion_falls_back_to_replay(monkeypatch):
         return real_replay(tlb, keys)
 
     monkeypatch.setattr(batch_mod, "_replay_scalar", spy)
+    # More than 64 keys in the set: the bitmask popcounts are only lower
+    # bounds, so the two-key windows below stay open for the scan.
     keys = []
-    for blk in range(30):
+    for blk in range(70):
         keys.append(1000 + blk)
         keys.extend([0, 1] * 200)
         keys.append(1000 + blk)
     run_case(keys, 4, 1, warm_keys=[7, 8, 9])
     assert calls, "_resolve_far giving up never triggered the scalar replay"
+
+
+@pytest.mark.parametrize("set_keys", [8, 9, 16, 17, 32, 33, 63, 64, 65, 2000])
+@pytest.mark.parametrize("sets, ways", [(1, 4), (4, 4), (16, 12)])
+def test_keys_per_set_around_the_mask_width(set_keys, sets, ways):
+    """Up to 64 keys in a set the window popcounts are exact stack
+    distances, on masks of 8, 16, 32 or 64 bits; above, lower bounds that
+    settle misses and leave the rest to the exact scan.  Warm state
+    included."""
+    rng = np.random.default_rng(set_keys * 100 + sets * 10 + ways)
+    target = 3  # every key in one set, the others touched lightly
+    pool = target % sets + sets * np.arange(set_keys, dtype=np.int64)
+    for n in (300, 4000):
+        hot = pool[rng.zipf(1.3, n) % set_keys]
+        spread = pool[rng.integers(0, set_keys, n)]
+        keys = np.where(rng.random(n) < 0.5, hot, spread)
+        other = rng.integers(0, 40 * sets, n // 10)
+        keys = np.insert(keys, rng.integers(0, n, len(other)), other)
+        warm_keys = rng.choice(pool, size=3 * ways).tolist()
+        warm_keys += rng.integers(0, 40 * sets, 2 * sets * ways).tolist()
+        run_case(keys, ways, sets, warm_keys=warm_keys)
+
+
+def test_call_lengths_around_small_call():
+    """The last length replayed through the dicts and the first one
+    classified vectorized, cold and warm."""
+    rng = np.random.default_rng(11)
+    for n in (batch_mod._SMALL_CALL, batch_mod._SMALL_CALL + 1):
+        for sets, ways in ((1, 4), (4, 4), (16, 12)):
+            for universe in (8, 100, 5000):
+                keys = rng.integers(0, universe, size=n)
+                warm_keys = rng.integers(0, universe, size=3 * sets * ways)
+                run_case(keys, ways, sets, warm_keys=warm_keys.tolist())
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+@pytest.mark.parametrize("fill", ["below", "at"])
+def test_power_of_two_window_lengths(k, fill):
+    """Windows of 2**k - 1, 2**k and 2**k + 1 compressed positions, the
+    sparse table's block edges, holding ``ways - 1`` (hit) or ``ways``
+    (miss) distinct keys; warm state included."""
+    ways = 4
+    distinct = ways - 1 if fill == "below" else ways
+    keys: list[int] = []
+    for length in (2**k - 1, 2**k, 2**k + 1):
+        marker = 500 + length
+        keys.append(marker)
+        # Cycle through `distinct` filler keys: no adjacent repeats, so the
+        # window keeps exactly `length` compressed positions.
+        keys.extend(10 + (t % distinct) for t in range(length))
+        keys.append(marker)
+    keys = keys * 2 + [1, 2, 3] * 100
+    for sets in (1, 4):
+        run_case(keys, ways, sets, warm_keys=[7, 500 + 2**k, 11, 12, 13])
+
+
+def test_distinct_values_equals_np_unique():
+    """Sorted distinct values and indices, as ``np.unique`` gives them,
+    on both sides of the presence-array bound."""
+    from repro.sim.batch import distinct_values
+
+    rng = np.random.default_rng(5)
+    bound = batch_mod._PRESENCE_SPAN
+    cases = [np.zeros(0, dtype=np.int64), np.array([42], dtype=np.int64)]
+    for n in (2, 17, 1000):
+        for span in (bound * n - 1, bound * n, bound * n + 1, 1 << 40):
+            lo = int(rng.integers(0, 1 << 45))
+            values = lo + rng.integers(0, span, size=n)
+            values[0], values[-1] = lo, lo + span - 1  # the span exactly
+            cases.append(rng.permutation(values).astype(np.int64))
+    for values in cases:
+        uniq = distinct_values(values)
+        np.testing.assert_array_equal(uniq, np.unique(values))
+        assert uniq.dtype == values.dtype
+        got, index = distinct_values(values, return_inverse=True)
+        want, want_index = np.unique(values, return_inverse=True)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(index, want_index)
+        np.testing.assert_array_equal(got[index], values)
 
 
 def test_replay_scalar_is_exact():

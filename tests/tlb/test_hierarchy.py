@@ -144,6 +144,26 @@ class TestTLBHierarchy:
         ]
         assert h._l2_by_level[LVL_MID] is h.l2["shared"]
 
+    @pytest.mark.parametrize("preset", sorted(GEOMETRY_PRESETS))
+    def test_l2_grouping_is_built_once(self, preset):
+        """The batch engine's L1-miss grouping: each structure once, in
+        order of its first level, and each level's index into them; the
+        nested unit inherits it."""
+        g = GEOMETRY_PRESETS[preset].geometry
+        host = PageTable(g)
+        for h in (
+            TLBHierarchy(WalkConfig(), g),
+            NestedTranslationUnit(WalkConfig(), g, host),
+        ):
+            structs = h._l2_structs
+            assert len({id(t) for t in structs}) == len(structs)
+            assert set(map(id, structs)) == set(map(id, h._l2_by_level))
+            assert [
+                structs[i] for i in h._l2_index_of_level.tolist()
+            ] == h._l2_by_level
+            firsts = [h._l2_by_level.index(t) for t in structs]
+            assert firsts == sorted(firsts)
+
     def test_geometry_without_sections_raises(self):
         with pytest.raises(ValueError, match="no per-level TLB sections"):
             TLBHierarchy(WalkConfig(), PageGeometry(12, 4, 10))
