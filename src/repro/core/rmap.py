@@ -38,6 +38,17 @@ class ReverseMap:
             raise ValueError(f"pfn {pfn} already registered in rmap")
         self._owners[pfn] = (order, owner)
 
+    def register_many(self, pfns: list[int], order: int, owner: FrameOwner) -> None:
+        """:meth:`register` each of ``pfns`` in order, all for ``owner``."""
+        fresh = set(pfns)
+        if len(fresh) < len(pfns) or not fresh.isdisjoint(self._owners):
+            seen: set[int] = set()
+            for pfn in pfns:
+                if pfn in seen or pfn in self._owners:
+                    raise ValueError(f"pfn {pfn} already registered in rmap")
+                seen.add(pfn)
+        self._owners.update(dict.fromkeys(pfns, (order, owner)))
+
     def unregister(self, pfn: int) -> None:
         if pfn not in self._owners:
             raise ValueError(f"pfn {pfn} not registered in rmap")

@@ -227,14 +227,26 @@ def _reject_unknown_keys(obj: dict, allowed: tuple[str, ...], where: str) -> Non
             )
 
 
+def _number(cast, value: object, where: str):
+    """``cast(value)``, or one error line naming where the bad value is."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} must be a number, got {json.dumps(value)}") from None
+
+
 def _tlb_config(obj: object, where: str) -> TLBConfig:
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be an object")
     _reject_unknown_keys(obj, _TLB_KEYS, where)
     try:
-        return TLBConfig(int(obj["entries"]), int(obj["ways"]))
+        entries, ways = obj["entries"], obj["ways"]
     except KeyError as e:
         raise ValueError(f"{where}: TLB config needs 'entries' and 'ways'") from e
+    return TLBConfig(
+        _number(int, entries, f"{where}.entries"),
+        _number(int, ways, f"{where}.ways"),
+    )
 
 
 def _object_or_empty(spec: dict, key: str) -> dict:
@@ -285,24 +297,30 @@ def geometry_from_dict(spec: dict, *, name: str = "") -> GeometryPreset:
             PageLevel(
                 name=str(raw["name"]),
                 label=str(raw.get("label", raw["name"])),
-                order=int(raw["order"]),
+                order=_number(int, raw["order"], f"levels[{i}].order"),
                 promotable=bool(raw.get("promotable", i > 0)),
                 thp_target=bool(raw.get("thp_target", False)),
                 tlb=section,
                 levels_skipped=(
-                    int(raw["levels_skipped"])
+                    _number(
+                        int, raw["levels_skipped"], f"levels[{i}].levels_skipped"
+                    )
                     if "levels_skipped" in raw
                     else None
                 ),
                 leaf_cached_prob=(
-                    float(raw["leaf_cached_prob"])
+                    _number(
+                        float,
+                        raw["leaf_cached_prob"],
+                        f"levels[{i}].leaf_cached_prob",
+                    )
                     if "leaf_cached_prob" in raw
                     else None
                 ),
             )
         )
     geometry = PageGeometry(
-        base_shift=int(spec["base_shift"]),
+        base_shift=_number(int, spec["base_shift"], "base_shift"),
         mid_order=None,
         large_order=None,
         levels=tuple(levels),
@@ -315,7 +333,7 @@ def geometry_from_dict(spec: dict, *, name: str = "") -> GeometryPreset:
     # rest keep the WalkConfig defaults.
     default = WalkConfig()
     walk = WalkConfig(**{
-        key: type(getattr(default, key))(value)
+        key: _number(type(getattr(default, key)), value, f"walk.{key}")
         for key, value in walk_spec.items()
     })
     scale = X86_GEOMETRY.large_size // geometry.large_size

@@ -350,9 +350,16 @@ class InvariantAuditor:
     def on_free(self, pfn: int, order: int, movable: bool) -> None:
         self._tick()
 
-    def _tick(self) -> None:
-        self._events += 1
-        if self._events % self.every == 0:
+    def on_alloc_many(self, pfns, orders, movable) -> None:
+        self._tick(len(pfns))
+
+    def on_free_many(self, pfns, orders, movable) -> None:
+        self._tick(len(pfns))
+
+    def _tick(self, events: int = 1) -> None:
+        before = self._events
+        self._events += events
+        if self._events // self.every > before // self.every:
             self._due = True
 
     # -- checkpoints --------------------------------------------------------

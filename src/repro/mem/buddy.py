@@ -14,13 +14,18 @@ chunks directly.  This module implements the full extended allocator:
   place copied frames inside a chosen target region, and by hugetlbfs-style
   static reservation);
 * listener hooks so :class:`repro.mem.regions.RegionTracker` can maintain the
-  per-large-region counters smart compaction selects sources/targets by.
+  per-large-region counters smart compaction selects sources/targets by;
+* ``alloc_run``, a closed form of many single-frame allocations, and
+  ``free_many``, many frees in one call (the fragmentation fill and its
+  release), which leave exactly the state the per-call loops would.
 """
 
 from __future__ import annotations
 
 import heapq
 from typing import Iterable, Protocol
+
+import numpy as np
 
 from repro.mem.frames import FrameState, new_frame_array
 
@@ -30,11 +35,25 @@ class OutOfMemoryError(RuntimeError):
 
 
 class AllocationListener(Protocol):
-    """Observer notified of every allocation and free."""
+    """Observer notified of every allocation and free.
+
+    The batch calls (:meth:`BuddyAllocator.alloc_run`,
+    :meth:`BuddyAllocator.free_many`) report their blocks at once through
+    the ``_many`` hooks, as equal-length arrays of global PFNs, orders and
+    movable flags in batch order.
+    """
 
     def on_alloc(self, pfn: int, order: int, movable: bool) -> None: ...
 
     def on_free(self, pfn: int, order: int, movable: bool) -> None: ...
+
+    def on_alloc_many(
+        self, pfns: np.ndarray, orders: np.ndarray, movable: np.ndarray
+    ) -> None: ...
+
+    def on_free_many(
+        self, pfns: np.ndarray, orders: np.ndarray, movable: np.ndarray
+    ) -> None: ...
 
 
 class _OrderFreeList:
@@ -236,6 +255,79 @@ class BuddyAllocator:
             return None
         return self._split_alloc(source, order, movable)
 
+    def alloc_run(self, count: int, movable: bool = True) -> np.ndarray:
+        """Allocate ``count`` single frames at once; returns their PFNs in order.
+
+        Leaves exactly the state of ``count`` calls of ``alloc(0, movable)``
+        that stop at the first :class:`OutOfMemoryError`: when memory runs
+        out it returns the frames there were.  Those calls take the free
+        blocks in (order, start) order and each block's frames ascending
+        (a split block's pieces are the lowest free blocks until it is
+        used up), so the run uses whole blocks in that order and the last
+        block's remainder is listed as its maximal aligned blocks.  Every
+        allocation lists one block fewer and every split one more, which
+        gives the split count.
+        """
+        count = min(int(count), self._free_frames)
+        if count <= 0:
+            return np.empty(0, dtype=np.int64)
+        lists = self._free_lists
+        blocks_before = sum(len(free_list) for free_list in lists)
+        runs: list[np.ndarray] = []
+        left = count
+        for order, free_list in enumerate(lists):
+            if not left:
+                break
+            if not free_list._members:
+                continue
+            starts = sorted(free_list._members)
+            whole = min(len(starts), left >> order)
+            used = starts[:whole]
+            runs.append(
+                (np.array(used, dtype=np.int64)[:, None] + np.arange(1 << order))
+                .ravel()
+            )
+            left -= whole << order
+            if left and whole < len(starts):
+                # The run ends inside this block: its rest stays free.
+                start = starts[whole]
+                used = starts[: whole + 1]
+                runs.append(np.arange(start, start + left, dtype=np.int64))
+                self._list_range(start + left, start + (1 << order))
+                left = 0
+            free_list._members.difference_update(used)
+            free_list._bound_heap()
+        pfns = np.concatenate(runs)
+        splits = sum(len(free_list) for free_list in lists) - blocks_before + count
+        self.frame_state[pfns] = (
+            FrameState.MOVABLE if movable else FrameState.UNMOVABLE
+        )
+        pfn_list = pfns.tolist()
+        self._allocated.update(dict.fromkeys(pfn_list, (0, movable)))
+        self._free_frames -= count
+        if self._c_alloc is not None:
+            self._c_alloc[0].inc(count)
+            if splits:
+                self._c_split.inc(splits)
+            tr = self._tracer
+            if tr.active:
+                base = self.pfn_base
+                for pfn in pfn_list:
+                    tr.emit("buddy", "alloc", pfn=pfn + base, order=0, movable=movable)
+        gpfns = pfns + self.pfn_base
+        orders = np.zeros(count, dtype=np.int64)
+        flags = np.full(count, movable)
+        for listener in self._listeners:
+            listener.on_alloc_many(gpfns, orders, flags)
+        return pfns
+
+    def _list_range(self, lo: int, hi: int) -> None:
+        """List free ``[lo, hi)`` (``hi`` aligned past it) as maximal blocks."""
+        while lo < hi:
+            order = (lo & -lo).bit_length() - 1
+            self._free_lists[order].add(lo)
+            lo += 1 << order
+
     def _source_order(self, order: int) -> int | None:
         """Lowest order >= ``order`` with a free block, or None."""
         if not 0 <= order <= self.max_order:
@@ -345,6 +437,52 @@ class BuddyAllocator:
         for listener in self._listeners:
             listener.on_free(gpfn, order, movable)
         self._insert_and_coalesce(pfn, order)
+
+    def free_many(self, pfns) -> None:
+        """Free the allocations starting at each of ``pfns``, in that order.
+
+        Leaves exactly the state of one :meth:`free` per PFN: the frame
+        states, counters, trace events and listeners are updated for the
+        whole batch, then each block is coalesced in turn.  Raises
+        ValueError, before changing anything, unless each PFN starts its
+        own live allocation.
+        """
+        pfns = np.asarray(pfns, dtype=np.int64)
+        pfn_list = pfns.tolist()
+        if not pfn_list:
+            return
+        allocated = self._allocated
+        wanted = set(pfn_list)
+        if len(wanted) < len(pfn_list) or not wanted <= allocated.keys():
+            seen: set[int] = set()
+            for pfn in pfn_list:
+                if pfn in seen or pfn not in allocated:
+                    raise ValueError(f"no allocation starts at pfn {pfn}")
+                seen.add(pfn)
+        order_list, movable_list = zip(*map(allocated.pop, pfn_list))
+        orders = np.array(order_list, dtype=np.int64)
+        movable = np.array(movable_list, dtype=bool)
+        state = self.frame_state
+        single = orders == 0
+        state[pfns[single]] = FrameState.FREE
+        for pfn, order in zip(pfns[~single].tolist(), orders[~single].tolist()):
+            state[pfn : pfn + (1 << order)] = FrameState.FREE
+        self._free_frames += int(np.left_shift(1, orders).sum())
+        if self._c_free is not None:
+            for order, n in enumerate(np.bincount(orders).tolist()):
+                if n:
+                    self._c_free[order].inc(n)
+            tr = self._tracer
+            if tr.active:
+                base = self.pfn_base
+                for pfn, order, mov in zip(pfn_list, order_list, movable_list):
+                    tr.emit("buddy", "free", pfn=pfn + base, order=order, movable=mov)
+        gpfns = pfns + self.pfn_base
+        for listener in self._listeners:
+            listener.on_free_many(gpfns, orders, movable)
+        coalesce = self._insert_and_coalesce
+        for pfn, order in zip(pfn_list, order_list):
+            coalesce(pfn, order)
 
     def _insert_and_coalesce(self, pfn: int, order: int) -> None:
         merges = 0

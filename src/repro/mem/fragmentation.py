@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mem.buddy import BuddyAllocator, OutOfMemoryError
+from repro.mem.buddy import BuddyAllocator
 
 
 def fmfi(buddy: BuddyAllocator, order: int) -> float:
@@ -83,34 +83,27 @@ class FragmentationInjector:
         """
         if not 0.0 <= residual_fraction <= 1.0:
             raise ValueError(f"residual_fraction out of [0,1]: {residual_fraction}")
-        to_fill = int(self.buddy.free_frames * fill_fraction)
+        buddy = self.buddy
+        to_fill = int(buddy.free_frames * fill_fraction)
         # Kernel-object allocations are grouped by migratetype into shared
         # pageblocks, so they cluster in a few regions rather than salting
         # every 1GB region (which would leave compaction no valid source).
         # Allocating them up-front reproduces that clustering: the buddy is
         # lowest-address-first, so they land together in the low regions.
-        for _ in range(int(to_fill * unmovable_prob)):
-            try:
-                self._unmovable_frames.append(self.buddy.alloc(0, movable=False))
-            except OutOfMemoryError:
-                break
-        fresh: list[int] = []
-        for _ in range(to_fill):
-            try:
-                pfn = self.buddy.alloc(0, movable=True)
-            except OutOfMemoryError:
-                break
-            fresh.append(pfn)
-        if fresh:
-            order = self.rng.permutation(len(fresh))
-            fresh = [fresh[i] for i in order]
+        # Both fills stop where memory runs out.
+        self._unmovable_frames.extend(
+            buddy.alloc_run(int(to_fill * unmovable_prob), movable=False).tolist()
+        )
+        fresh = buddy.alloc_run(to_fill, movable=True)
+        if len(fresh):
+            fresh = fresh[self.rng.permutation(len(fresh))]
         keep = int(len(fresh) * residual_fraction)
-        for pfn in fresh[keep:]:
-            self.buddy.free(pfn)
-        for pfn in fresh[:keep]:
-            self._pos[pfn] = len(self._frames)
-            self._frames.append(pfn)
-        return fmfi(self.buddy, self.buddy.max_order)
+        buddy.free_many(fresh[keep:])
+        kept = fresh[:keep].tolist()
+        start = len(self._frames)
+        self._pos.update(zip(kept, range(start, start + keep)))
+        self._frames.extend(kept)
+        return fmfi(buddy, buddy.max_order)
 
     def reclaim(self, n_frames: int) -> list[int]:
         """Free up to ``n_frames`` residual cache frames in random order.

@@ -34,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from repro.mem.buddy import AllocationListener, BuddyAllocator, OutOfMemoryError
 from repro.mem.fragmentation import fmfi
 from repro.mem.frames import FrameState, new_frame_array
@@ -283,6 +285,25 @@ class NumaBuddyPools:
     def free(self, pfn: int) -> None:
         pool = self.pools[self.node_of(pfn)]
         pool.free(pfn - pool.pfn_base)
+
+    def alloc_run(self, count: int, movable: bool = True) -> np.ndarray:
+        """``count`` calls of ``alloc(0, movable)``, stopping at OOM.
+
+        No closed form: the most-free-node choice moves with every frame,
+        and nothing fragments a NUMA machine in bulk.
+        """
+        pfns: list[int] = []
+        for _ in range(count):
+            try:
+                pfns.append(self.alloc(0, movable))
+            except OutOfMemoryError:
+                break
+        return np.array(pfns, dtype=np.int64)
+
+    def free_many(self, pfns) -> None:
+        """One :meth:`free` per PFN, in order."""
+        for pfn in np.asarray(pfns, dtype=np.int64).tolist():
+            self.free(pfn)
 
     # -- verification -----------------------------------------------------
     def check_invariants(self) -> None:

@@ -79,6 +79,28 @@ class RegionTracker:
         if not movable:
             self.unmovable_frames[region] -= n
 
+    def on_alloc_many(
+        self, pfns: np.ndarray, orders: np.ndarray, movable: np.ndarray
+    ) -> None:
+        """A batch of :meth:`on_alloc` calls, one per array element."""
+        self._account(pfns, orders, movable, 1)
+
+    def on_free_many(
+        self, pfns: np.ndarray, orders: np.ndarray, movable: np.ndarray
+    ) -> None:
+        """A batch of :meth:`on_free` calls, one per array element."""
+        self._account(pfns, orders, movable, -1)
+
+    def _account(
+        self, pfns: np.ndarray, orders: np.ndarray, movable: np.ndarray, sign: int
+    ) -> None:
+        regions = pfns // self.frames_per_region
+        frames = np.left_shift(1, orders) * sign
+        np.subtract.at(self.free_frames, regions, frames)
+        pinned = ~movable
+        if pinned.any():
+            np.add.at(self.unmovable_frames, regions[pinned], frames[pinned])
+
     # -- selection queries used by smart compaction ------------------------
     def occupied_frames(self, region: int) -> int:
         return self.frames_per_region - int(self.free_frames[region])

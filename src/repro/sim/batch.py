@@ -179,15 +179,15 @@ class BatchEngine:
             if cut is not None:
                 # The access that ended the segment: the scalar slow path
                 # handles its fault (and runs the daemons if they are due).
-                system.touch(process, int(vas[i]))
+                system._touch(process, int(vas[i]))
                 i += 1
             system._run_due_daemons()
 
     # trd: scalar-fallback[fault-dense stretch: vectorized costs more there]
     def _scalar_stretch(self, process, vas: np.ndarray, i: int) -> int:
-        """Run the next stretch accesses through ``System.touch``."""
+        """Run the next stretch accesses through ``System._touch``."""
         stop = min(len(vas), i + self._scalar_left)
-        touch = self.system.touch
+        touch = self.system._touch
         for va in vas[i:stop].tolist():
             touch(process, va)
         self._scalar_left -= stop - i

@@ -224,8 +224,7 @@ class System:
         give normal compaction something to trip over.
         """
         n = int(self.machine.total_frames * self.machine.kernel_unmovable_fraction)
-        for _ in range(max(1, n)):
-            self.buddy.alloc(0, movable=False)
+        self.buddy.alloc_run(max(1, n), movable=False)
 
     # -- fragmentation control ----------------------------------------------
     def fragment(
@@ -243,8 +242,7 @@ class System:
         index = self.injector.fragment(
             fill_fraction, residual_fraction, unmovable_prob
         )
-        for pfn in self.injector.cache_frames():
-            self.rmap.register(pfn, 0, self.injector)
+        self.rmap.register_many(self.injector.cache_frames(), 0, self.injector)
         return index
 
     @property
@@ -327,6 +325,14 @@ class System:
         ``.page_size``; it is not a number.  Bulk callers should use
         :meth:`touch_batch`.
         """
+        return TouchResult(*self._touch(process, va))
+
+    def _touch(self, process: Process, va: int) -> tuple[float, bool, int]:
+        """:meth:`touch` as a plain ``(cycles, faulted, page_size)`` tuple.
+
+        For the callers that discard the result: the batch engine's
+        scalar accesses and the scalar reference loop.
+        """
         mapping = process.pagetable.translate(va)
         faulted = mapping is None
         if faulted:
@@ -335,7 +341,7 @@ class System:
         cycles = process.tlb.access(va, mapping)
         self._accesses_since_daemon += 1
         self._run_due_daemons()
-        return TouchResult(cycles, faulted=faulted, page_size=mapping.page_size)
+        return cycles, faulted, mapping.page_size
 
     def _run_due_daemons(self) -> bool:
         """Run the daemons once ``daemon_period_accesses`` touches accrued.
@@ -434,8 +440,8 @@ class System:
                 self._batch_engine = BatchEngine(self)
             self._batch_engine.run(process, vas)
         else:
-            for va in vas:
-                self.touch(process, int(va))
+            for va in vas.tolist():
+                self._touch(process, va)
         result = BatchResult(
             accesses=stats.accesses - before[0],
             translation_cycles=stats.translation_cycles - before[1],

@@ -56,12 +56,19 @@ class GuestSystem(System):
         self.processes.append(process)
         return process
 
+    # Same body as System.touch, but defined on this class: the per-layer
+    # timer in benchmarks/perf/layer_timer.py patches GuestSystem.touch
+    # where it is defined, so it must be in this class's own namespace.
     def touch(self, process: Process, va: int) -> TouchResult:
         """Guest load/store: guest fault, then EPT fault, then nested TLB.
 
         Returns the same frozen :class:`TouchResult` record as
         :meth:`System.touch`, with the nested unit's 2D-walk cycles.
         """
+        return TouchResult(*self._touch(process, va))
+
+    def _touch(self, process: Process, va: int) -> tuple[float, bool, int]:
+        """:meth:`touch` as a plain ``(cycles, faulted, page_size)`` tuple."""
         mapping = process.pagetable.translate(va)
         faulted = mapping is None
         if faulted:
@@ -72,7 +79,7 @@ class GuestSystem(System):
         cycles = process.tlb.access(va, mapping)
         self._accesses_since_daemon += 1
         self._run_due_daemons()
-        return TouchResult(cycles, faulted=faulted, page_size=mapping.page_size)
+        return cycles, faulted, mapping.page_size
 
     def _run_due_daemons(self) -> bool:
         if not super()._run_due_daemons():

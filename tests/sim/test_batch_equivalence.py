@@ -85,9 +85,10 @@ def assert_fingerprints_equal(batch_fp, scalar_fp) -> None:
 class EngineSpy:
     """Counts the ``touch_batch`` accesses that run in scalar stretches.
 
-    The first ``touch`` after a cut segment translation may be the access
-    that cut it, so it is not counted; every other ``touch`` runs in a
-    stretch.  Also counts the daemon quanta that run inside those.
+    The engine's scalar accesses call ``System._touch``.  The first one
+    after a cut segment translation may be the access that cut it, so it
+    is not counted; every other one runs in a stretch.  Also counts the
+    daemon quanta that run inside those.
     """
 
     def __init__(self, system) -> None:
@@ -95,7 +96,7 @@ class EngineSpy:
         self.stretch_daemons = 0
         self._after_cut = False
         self._in_stretch = False
-        touch, segment = system.touch, system._batch_segment
+        touch, segment = system._touch, system._batch_segment
         run_daemons = system.run_daemons
 
         def spy_segment(process, vas):
@@ -117,7 +118,7 @@ class EngineSpy:
             return run_daemons(*args, **kwargs)
 
         system._batch_segment = spy_segment
-        system.touch = spy_touch
+        system._touch = spy_touch
         system.run_daemons = spy_daemons
 
 

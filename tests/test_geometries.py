@@ -306,6 +306,36 @@ class TestGeometryFromDict:
         assert len(out) == 1
         assert out[0].startswith("error: ") and message in out[0]
 
+    @pytest.mark.parametrize("value", [None, "four", [4]])
+    @pytest.mark.parametrize(
+        "place, where",
+        [
+            (lambda s, v: s["levels"][1].update(order=v), "levels[1].order"),
+            (
+                lambda s, v: s["levels"][0]["l1"].update(entries=v),
+                "levels[0].l1.entries",
+            ),
+            (lambda s, v: s.update(walk={"levels_base": v}), "walk.levels_base"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "describe"])
+    def test_non_numbers_exit_two_with_one_line(
+        self, place, where, value, command, tmp_path, capsys
+    ):
+        """A null, string or list where a number belongs is an error
+        naming the key and where it is, never a traceback."""
+        import copy
+
+        spec = copy.deepcopy(self.SPEC)
+        place(spec, value)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        assert main(["geometry", command, str(path)]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out == [
+            f"error: {path}: {where} must be a number, got {json.dumps(value)}"
+        ]
+
     def test_walk_reads_every_walk_config_field(self):
         walk = {
             "levels_base": 5,
