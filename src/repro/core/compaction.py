@@ -30,6 +30,7 @@ from repro.core.rmap import ReverseMap
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.frames import FrameState
 from repro.mem.regions import RegionTracker
+from repro.obs import Observability
 
 
 @dataclass
@@ -93,7 +94,7 @@ class _CompactorBase:
         rmap: ReverseMap,
         geometry: PageGeometry,
         cost: CostModel,
-        obs=None,
+        obs: Observability | None = None,
     ) -> None:
         self.buddy = buddy
         self.regions = regions
@@ -106,27 +107,21 @@ class _CompactorBase:
         #: Only blocks of level 1 or larger use it (exchanging 4KB pages
         #: costs more than copying them - the paper's Section 6 scope note).
         self.pv_exchanger = None
-        self._metrics = None
-        self._tracer = None
-        self._clock = None
-        self._spans = None
-        self._c_attempt = None
-        if obs is not None:
-            m = obs.metrics
-            self._metrics = m
-            self._tracer = obs.tracer
-            self._clock = getattr(obs, "clock", None)
-            self._spans = getattr(obs, "spans", None)
-            kind = self.kind
-            self._c_attempt = m.counter("compaction_attempt_total", kind=kind)
-            self._c_success = m.counter("compaction_success_total", kind=kind)
-            self._c_copied = m.counter("compaction_bytes_copied_total", kind=kind)
-            self._c_exchanged = m.counter(
-                "compaction_bytes_exchanged_total", kind=kind
-            )
-            self._c_wasted = m.counter("compaction_wasted_bytes_total", kind=kind)
-            self._c_moved = m.counter("compaction_blocks_moved_total", kind=kind)
-            self._c_freed = m.counter("compaction_regions_freed_total", kind=kind)
+        if obs is None:
+            obs = Observability()
+        m = obs.metrics
+        self._metrics = m
+        self._tracer = obs.tracer
+        self._clock = obs.clock
+        self._spans = obs.spans
+        kind = self.kind
+        self._c_attempt = m.counter("compaction_attempt_total", kind=kind)
+        self._c_success = m.counter("compaction_success_total", kind=kind)
+        self._c_copied = m.counter("compaction_bytes_copied_total", kind=kind)
+        self._c_exchanged = m.counter("compaction_bytes_exchanged_total", kind=kind)
+        self._c_wasted = m.counter("compaction_wasted_bytes_total", kind=kind)
+        self._c_moved = m.counter("compaction_blocks_moved_total", kind=kind)
+        self._c_freed = m.counter("compaction_regions_freed_total", kind=kind)
 
     def compact(self, order: int, *args, **kwargs) -> CompactionResult:
         """Public entry point: run the engine inside a ``compaction`` span.
@@ -137,8 +132,6 @@ class _CompactorBase:
         span's duration equals the attempt's accounted cost exactly.
         """
         clock = self._clock
-        if clock is None:
-            return self._compact(order, *args, **kwargs)
         start = clock.now_ns
         with self._spans.span(
             "compaction", compactor=self.kind, order=order
@@ -153,39 +146,37 @@ class _CompactorBase:
     def _record(self, result: CompactionResult) -> None:
         """Fold one attempt into lifetime stats and the metrics registry."""
         self.stats.record(result)
-        if self._c_attempt is not None:
-            self._c_attempt.inc()
-            self._c_success.inc(int(result.success))
-            self._c_copied.inc(result.bytes_copied)
-            self._c_exchanged.inc(result.bytes_exchanged)
-            self._c_wasted.inc(result.wasted_bytes)
-            self._c_moved.inc(result.blocks_moved)
-            self._c_freed.inc(result.regions_freed)
-            tr = self._tracer
-            if tr.active:
-                tr.emit(
-                    "compaction",
-                    "attempt",
-                    kind=self.kind,
-                    success=result.success,
-                    bytes_copied=result.bytes_copied,
-                    blocks_moved=result.blocks_moved,
-                    regions_freed=result.regions_freed,
-                    time_ns=result.time_ns,
-                )
+        self._c_attempt.inc()
+        self._c_success.inc(int(result.success))
+        self._c_copied.inc(result.bytes_copied)
+        self._c_exchanged.inc(result.bytes_exchanged)
+        self._c_wasted.inc(result.wasted_bytes)
+        self._c_moved.inc(result.blocks_moved)
+        self._c_freed.inc(result.regions_freed)
+        tr = self._tracer
+        if tr.active:
+            tr.emit(
+                "compaction",
+                "attempt",
+                kind=self.kind,
+                success=result.success,
+                bytes_copied=result.bytes_copied,
+                blocks_moved=result.blocks_moved,
+                regions_freed=result.regions_freed,
+                time_ns=result.time_ns,
+            )
 
     def _abort(self, region: int, reason: str) -> None:
         """Account one abandoned evacuation (Figure 6's wasted-work cases)."""
-        if self._metrics is not None:
-            self._metrics.counter(
-                "compaction_abort_total", kind=self.kind, reason=reason
-            ).inc()
-            tr = self._tracer
-            if tr.active:
-                tr.emit(
-                    "compaction", "abort", kind=self.kind, region=region,
-                    reason=reason,
-                )
+        self._metrics.counter(
+            "compaction_abort_total", kind=self.kind, reason=reason
+        ).inc()
+        tr = self._tracer
+        if tr.active:
+            tr.emit(
+                "compaction", "abort", kind=self.kind, region=region,
+                reason=reason,
+            )
 
     # -- destination search ------------------------------------------------
     def _find_free_slot(self, region: int, order: int) -> int | None:
@@ -247,7 +238,7 @@ class _CompactorBase:
         self.rmap.moved(pfn, dest)
         self.buddy.free(pfn)
         tr = self._tracer
-        if tr is not None and tr.active:
+        if tr.active:
             tr.emit(
                 "compaction", "migrate", kind=self.kind, src=pfn, dst=dest,
                 order=order, exchanged=bool(exchanged),

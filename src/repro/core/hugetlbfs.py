@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from repro.core.policy import MemoryPolicy
 from repro.vm.fault import region_is_unmapped
+from repro.vm.pagetable import Mapping
 
 #: VMA kinds libhugetlbfs can back with large pages.
 ELIGIBLE_KINDS = ("heap", "data", "bss")
@@ -61,7 +62,7 @@ class HugetlbfsPolicy(MemoryPolicy):
     def reserved_pages(self) -> int:
         return len(self._pool)
 
-    def handle_fault(self, process, va: int) -> float:
+    def handle_fault(self, process, va: int) -> Mapping:
         vma = process.aspace.find_vma(va)
         if vma is None:
             raise ValueError(f"fault at unmapped va {va:#x} (no VMA)")
@@ -77,14 +78,14 @@ class HugetlbfsPolicy(MemoryPolicy):
                 pfn = self._pool.pop()
                 # Reserved pages are not rmap-registered: hugetlb pages are
                 # not migratable by compaction.
-                process.pagetable.map_page(start, self.page_size, pfn)
+                mapping = process.pagetable.map_page(start, self.page_size, pfn)
                 process.frame_owner.add(pfn, start, self.page_size)
                 self._huge_pfns.add(pfn)
                 cost = self.kernel.cost
                 latency = cost.fault_fixed_ns + cost.zero_ns(
                     geometry.bytes_for(self.page_size)
                 )
-                return self._record_fault(latency, self.page_size)
+                return self._record_fault(latency, mapping)
         return self._map_base_fault(process, va)
 
     def unmap_range(self, process, start: int, length: int) -> None:

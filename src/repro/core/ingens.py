@@ -18,6 +18,7 @@ THP on coverage and below both THP and Trident on bloat.
 from __future__ import annotations
 
 from repro.core.thp import THPPolicy
+from repro.vm.pagetable import Mapping
 
 
 class IngensPolicy(THPPolicy):
@@ -31,7 +32,7 @@ class IngensPolicy(THPPolicy):
     #: pages with their access bit set at scan time
     min_accessed_fraction = 0.5
 
-    def handle_fault(self, process, va: int) -> float:
+    def handle_fault(self, process, va: int) -> Mapping:
         """FreeBSD-style conservative fault: always base pages."""
         vma = process.aspace.find_vma(va)
         if vma is None:

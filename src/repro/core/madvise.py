@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 
 from repro.core.trident import TridentPolicy
+from repro.vm.pagetable import Mapping
 
 #: madvise advice values (mirroring Linux's)
 MADV_HUGEPAGE = 14
@@ -71,7 +72,7 @@ class MadvisePolicy(TridentPolicy):
         return False
 
     # -- policy gates ----------------------------------------------------------
-    def handle_fault(self, process, va: int) -> float:
+    def handle_fault(self, process, va: int) -> Mapping:
         if not self.is_advised(process, va):
             return self._map_base_fault(process, va)
         return super().handle_fault(process, va)

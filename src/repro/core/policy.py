@@ -13,6 +13,7 @@ substrate::
     kernel.normal_compactor, kernel.smart_compactor
     kernel.reclaim(n_frames)            # page-cache reclaim under pressure
     kernel.processes                    # processes to scan for promotion
+    kernel.obs                          # the machine's observability bundle
 
 The base class provides the fault bookkeeping every policy shares: frame
 allocation with reclaim-on-OOM, page-table mapping + rmap registration, and
@@ -98,10 +99,8 @@ class MemoryPolicy:
     def __init__(self, kernel) -> None:
         self.kernel = kernel
         self.stats = PolicyStats.for_geometry(kernel.geometry)
-        obs = getattr(kernel, "obs", None)
-        self._tracer = obs.tracer if obs is not None else None
-        if obs is not None:
-            obs.metrics.add_collector(self._collect_metrics)
+        self._tracer = kernel.obs.tracer
+        kernel.obs.metrics.add_collector(self._collect_metrics)
 
     def _collect_metrics(self, metrics) -> None:
         """Snapshot-time mirror of :class:`PolicyStats` into the registry.
@@ -143,8 +142,12 @@ class MemoryPolicy:
         )
 
     # -- interface ----------------------------------------------------------
-    def handle_fault(self, process, va: int) -> float:
-        """Map the faulting address; returns fault latency in ns."""
+    def handle_fault(self, process, va: int) -> Mapping:
+        """Map the faulting address; returns the mapping installed.
+
+        The fault's latency is recorded in :attr:`stats`
+        (``fault_latencies[-1]``, and summed into ``fault_ns``).
+        """
         raise NotImplementedError
 
     def background_tick(self, budget_ns: float) -> float:
@@ -213,7 +216,7 @@ class MemoryPolicy:
         freed = nbytes // base - len(keep)
         self.stats.bloat_bytes_recovered += freed * base
         tr = self._tracer
-        if tr is not None and tr.active:
+        if tr.active:
             tr.emit(
                 "policy", "demote_in_place",
                 va=mapping.va,
@@ -281,28 +284,30 @@ class MemoryPolicy:
                 self._install(process, va, 0, pfn)
         process.tlb.invalidate_range(mapping.va, mbytes)
 
-    def _record_fault(self, latency_ns: float, page_size: int) -> float:
+    def _record_fault(self, latency_ns: float, mapping: Mapping) -> Mapping:
+        """Account one fault that installed ``mapping``; returns it."""
+        page_size = mapping.page_size
         self.stats.faults += 1
         self.stats.fault_ns += latency_ns
         self.stats.fault_latencies.append(latency_ns)
         self.stats.fault_mapped[page_size] += 1
         tr = self._tracer
-        if tr is not None and tr.active:
+        if tr.active:
             tr.emit(
                 "policy", "fault_mapped",
                 size=self.kernel.geometry.label_for(page_size),
                 latency_ns=latency_ns,
             )
-        return latency_ns
+        return mapping
 
-    def _map_base_fault(self, process, va: int) -> float:
+    def _map_base_fault(self, process, va: int) -> Mapping:
         """The universal last-resort path: one base page at ``va``."""
         geometry = self.kernel.geometry
         start = geometry.align_down(va, 0)
         pfn = self._alloc_frames(0)
         if pfn is None:
             raise OutOfMemoryError("cannot allocate a base page")
-        self._install(process, start, 0, pfn)
+        mapping = self._install(process, start, 0, pfn)
         cost = self.kernel.cost
         latency = cost.fault_fixed_ns + cost.zero_ns(geometry.base_size)
-        return self._record_fault(latency, 0)
+        return self._record_fault(latency, mapping)

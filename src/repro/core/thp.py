@@ -57,7 +57,7 @@ class THPPolicy(MemoryPolicy):
         self._debt_ns = 0.0
 
     # -- page-fault handler ---------------------------------------------------
-    def handle_fault(self, process, va: int) -> float:
+    def handle_fault(self, process, va: int) -> Mapping:
         extent = process.aspace.extent_of(va)
         if extent is None:
             raise ValueError(f"fault at unmapped va {va:#x} (no VMA)")
@@ -65,12 +65,12 @@ class THPPolicy(MemoryPolicy):
         sizes = candidate_page_sizes(va, extent, process.pagetable, geometry)
         thp = geometry.thp_level
         if thp in sizes:
-            latency = self._try_fault_map(process, va, thp)
-            if latency is not None:
-                return latency
+            mapping = self._try_fault_map(process, va, thp)
+            if mapping is not None:
+                return mapping
         return self._map_base_fault(process, va)
 
-    def _try_fault_map(self, process, va: int, page_size: int) -> float | None:
+    def _try_fault_map(self, process, va: int, page_size: int) -> Mapping | None:
         geometry = self.kernel.geometry
         pfn = self.kernel.buddy.try_alloc(geometry.order_for(page_size))
         sync_compaction_ns = 0.0
@@ -87,14 +87,14 @@ class THPPolicy(MemoryPolicy):
                 self.stats.fault_ns += sync_compaction_ns  # stalled for nothing
             return None
         start = geometry.align_down(va, page_size)
-        self._install(process, start, page_size, pfn)
+        mapping = self._install(process, start, page_size, pfn)
         cost = self.kernel.cost
         latency = (
             cost.fault_fixed_ns
             + cost.zero_ns(geometry.bytes_for(page_size))
             + sync_compaction_ns
         )
-        return self._record_fault(latency, page_size)
+        return self._record_fault(latency, mapping)
 
     # -- khugepaged -------------------------------------------------------------
     def background_tick(self, budget_ns: float) -> float:
@@ -228,7 +228,7 @@ class THPPolicy(MemoryPolicy):
         self.stats.promoted[page_size] += 1
         self.stats.promo_copy_bytes += present_bytes
         tr = self._tracer
-        if tr is not None and tr.active:
+        if tr.active:
             tr.emit(
                 "policy", "promote", va=va,
                 size=geometry.label_for(page_size),

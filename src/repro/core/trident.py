@@ -27,6 +27,7 @@ from typing import Iterator
 from repro.core.thp import THPPolicy
 from repro.vm.fault import candidate_page_sizes
 from repro.vm.mappability import mappable_ranges
+from repro.vm.pagetable import Mapping
 
 
 class TridentPolicy(THPPolicy):
@@ -55,7 +56,7 @@ class TridentPolicy(THPPolicy):
             self.name = "Trident-NC"
 
     # -- page-fault handler ------------------------------------------------
-    def handle_fault(self, process, va: int) -> float:
+    def handle_fault(self, process, va: int) -> Mapping:
         extent = process.aspace.extent_of(va)
         if extent is None:
             raise ValueError(f"fault at unmapped va {va:#x} (no VMA)")
@@ -63,21 +64,21 @@ class TridentPolicy(THPPolicy):
         sizes = candidate_page_sizes(va, extent, process.pagetable, geometry)
         top = geometry.top_level
         if top in sizes:
-            latency = self._try_large_fault(process, va)
-            if latency is not None:
-                return latency
+            mapping = self._try_large_fault(process, va)
+            if mapping is not None:
+                return mapping
         if self.use_mid:
             # Intermediate levels, largest first (candidate_page_sizes
             # yields them descending); base is the universal fallback.
             for size in sizes:
                 if size == top or size == 0:
                     continue
-                latency = self._try_fault_map(process, va, size)
-                if latency is not None:
-                    return latency
+                mapping = self._try_fault_map(process, va, size)
+                if mapping is not None:
+                    return mapping
         return self._map_base_fault(process, va)
 
-    def _try_large_fault(self, process, va: int) -> float | None:
+    def _try_large_fault(self, process, va: int) -> Mapping | None:
         geometry = self.kernel.geometry
         self.stats.fault_large_attempts += 1
         used_pool = True
@@ -90,7 +91,7 @@ class TridentPolicy(THPPolicy):
             # khugepaged will promote this range later if memory allows.
             self.stats.fault_large_failures += 1
             tr = self._tracer
-            if tr is not None and tr.active:
+            if tr.active:
                 tr.emit(
                     "policy", "large_fault_fallback", va=va,
                     reason="no_contiguous_block",
@@ -98,7 +99,7 @@ class TridentPolicy(THPPolicy):
             return None
         top = geometry.top_level
         start = geometry.align_down(va, top)
-        self._install(process, start, top, pfn)
+        mapping = self._install(process, start, top, pfn)
         latency = self.kernel.zerofill.fault_ns(top, used_pool)
         # kzerofilld runs on another core: the wall time this fault takes,
         # plus the time the application spends initializing the region
@@ -108,7 +109,7 @@ class TridentPolicy(THPPolicy):
             latency + 0.5 * self.kernel.cost.zero_ns(geometry.large_size),
             concurrent=True,
         )
-        return self._record_fault(latency, top)
+        return self._record_fault(latency, mapping)
 
     # -- extended khugepaged (Figure 5) ---------------------------------------
     def background_tick(self, budget_ns: float) -> float:
@@ -161,7 +162,7 @@ class TridentPolicy(THPPolicy):
             return spent + self._promote(process, va, top, pfn, present)
         self.stats.promo_large_failures += 1
         tr = self._tracer
-        if tr is not None and tr.active:
+        if tr.active:
             # The Figure 5 decision point: no 1GB chunk could be produced,
             # fall back to the slot's 2MB sub-ranges (or give up).
             tr.emit(

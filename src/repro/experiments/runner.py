@@ -561,8 +561,8 @@ class VirtRunner:
             attach_auditor(self.vm.guest, every=config.audit_every)
             # The host auditor carries the hypervisor so sampled audits
             # (and every exchange hypercall) verify pv bijectivity.  The
-            # host system runs bare (no obs of its own), so its audit
-            # counters are routed into this run's registry.
+            # host's own bundle is never exported, so its audit counters
+            # are routed into this run's registry.
             attach_auditor(
                 self.vm.host,
                 every=config.audit_every,

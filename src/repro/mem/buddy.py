@@ -28,6 +28,7 @@ from typing import Iterable, Protocol
 import numpy as np
 
 from repro.mem.frames import FrameState, new_frame_array
+from repro.obs import MetricsRegistry, Observability
 
 
 class OutOfMemoryError(RuntimeError):
@@ -116,9 +117,9 @@ class BuddyAllocator:
         total_frames: int,
         max_order: int,
         listeners: tuple[AllocationListener, ...] = (),
-        obs=None,
+        obs: Observability | None = None,
         pfn_base: int = 0,
-        frame_state=None,
+        frame_state: np.ndarray | None = None,
     ) -> None:
         if max_order < 0:
             raise ValueError(f"max_order must be >= 0, got {max_order}")
@@ -146,44 +147,29 @@ class BuddyAllocator:
         self._allocated: dict[int, tuple[int, bool]] = {}
         self._listeners = list(listeners)
         self._free_frames = total_frames
-        self._tracer = None
-        self._c_alloc = self._c_free = None
-        self._c_split = self._c_coalesce = None
-        if obs is not None:
-            self._attach_obs(obs)
-        top = 1 << max_order
-        for start in range(0, total_frames, top):
-            self._free_lists[max_order].add(start)
-
-    def _attach_obs(self, obs) -> None:
-        """Wire counters (hot paths hold direct references) and gauges.
-
-        The free-list-depth and free-frame gauges are *collector-mirrored*:
-        the allocator already maintains the authoritative values, so they
-        are copied into the registry at snapshot time instead of on every
-        alloc/free — the buddy hot paths carry no gauge writes at all.
-        """
-        self.attach_counters(obs)
-        obs.metrics.add_collector(self._collect)
-
-    def attach_counters(self, obs) -> None:
-        """Wire the hot-path counters and tracer without the gauge collector.
-
-        The registry hands back the same counter objects for the same
-        (name, labels), so several allocators attached to one registry
-        share one set of totals — how the per-node pools of a NUMA machine
-        keep the machine-wide buddy counters whole (the facade registers
-        the single aggregate gauge collector instead).
-        """
+        if obs is None:
+            obs = Observability()
+        # Hot paths hold direct counter references.  The registry hands
+        # back the same counter for the same (name, labels), so allocators
+        # sharing one bundle share one set of totals: the per-node pools of
+        # a NUMA machine keep the machine-wide buddy counters whole.
         m = obs.metrics
         self._tracer = obs.tracer
-        orders = range(self.max_order + 1)
+        orders = range(max_order + 1)
         self._c_alloc = [m.counter("buddy_alloc_total", order=o) for o in orders]
         self._c_free = [m.counter("buddy_free_total", order=o) for o in orders]
         self._c_split = m.counter("buddy_split_total")
         self._c_coalesce = m.counter("buddy_coalesce_total")
+        # The free-list-depth and free-frame gauges are collector-mirrored:
+        # copied at snapshot time, so alloc/free carry no gauge writes.  A
+        # collector registered later (the NUMA facade's aggregate) writes
+        # the final values.
+        m.add_collector(self._collect)
+        top = 1 << max_order
+        for start in range(0, total_frames, top):
+            self._free_lists[max_order].add(start)
 
-    def _collect(self, metrics) -> None:
+    def _collect(self, metrics: MetricsRegistry) -> None:
         metrics.gauge("buddy_free_frames").value = self._free_frames
         for order in range(self.max_order + 1):
             metrics.gauge("buddy_free_blocks", order=order).value = len(
@@ -305,15 +291,14 @@ class BuddyAllocator:
         pfn_list = pfns.tolist()
         self._allocated.update(dict.fromkeys(pfn_list, (0, movable)))
         self._free_frames -= count
-        if self._c_alloc is not None:
-            self._c_alloc[0].inc(count)
-            if splits:
-                self._c_split.inc(splits)
-            tr = self._tracer
-            if tr.active:
-                base = self.pfn_base
-                for pfn in pfn_list:
-                    tr.emit("buddy", "alloc", pfn=pfn + base, order=0, movable=movable)
+        self._c_alloc[0].inc(count)
+        if splits:
+            self._c_split.inc(splits)
+        tr = self._tracer
+        if tr.active:
+            base = self.pfn_base
+            for pfn in pfn_list:
+                tr.emit("buddy", "alloc", pfn=pfn + base, order=0, movable=movable)
         gpfns = pfns + self.pfn_base
         orders = np.zeros(count, dtype=np.int64)
         flags = np.full(count, movable)
@@ -341,7 +326,7 @@ class BuddyAllocator:
     def _split_alloc(self, source: int, order: int, movable: bool) -> int:
         """Take the lowest ``source`` block and split it down to ``order``."""
         pfn = self._free_lists[source].pop_lowest()
-        if self._c_split is not None and source > order:
+        if source > order:
             self._c_split.inc(source - order)
         while source > order:
             source -= 1
@@ -372,7 +357,7 @@ class BuddyAllocator:
                 f"cover requested [{pfn}, {pfn + (1 << order)})"
             )
         self._free_lists[encl_order].discard(encl_pfn)
-        if self._c_split is not None and encl_order > order:
+        if encl_order > order:
             self._c_split.inc(encl_order - order)
         # Split the enclosing block down until the target block is isolated.
         cur_pfn, cur_order = encl_pfn, encl_order
@@ -407,11 +392,10 @@ class BuddyAllocator:
         self._allocated[pfn] = (order, movable)
         self._free_frames -= n
         gpfn = pfn + self.pfn_base
-        if self._c_alloc is not None:
-            self._c_alloc[order].inc()
-            tr = self._tracer
-            if tr.active:
-                tr.emit("buddy", "alloc", pfn=gpfn, order=order, movable=movable)
+        self._c_alloc[order].inc()
+        tr = self._tracer
+        if tr.active:
+            tr.emit("buddy", "alloc", pfn=gpfn, order=order, movable=movable)
         for listener in self._listeners:
             listener.on_alloc(gpfn, order, movable)
 
@@ -429,11 +413,10 @@ class BuddyAllocator:
             self.frame_state[pfn] = FrameState.FREE
         self._free_frames += n
         gpfn = pfn + self.pfn_base
-        if self._c_free is not None:
-            self._c_free[order].inc()
-            tr = self._tracer
-            if tr.active:
-                tr.emit("buddy", "free", pfn=gpfn, order=order, movable=movable)
+        self._c_free[order].inc()
+        tr = self._tracer
+        if tr.active:
+            tr.emit("buddy", "free", pfn=gpfn, order=order, movable=movable)
         for listener in self._listeners:
             listener.on_free(gpfn, order, movable)
         self._insert_and_coalesce(pfn, order)
@@ -468,15 +451,14 @@ class BuddyAllocator:
         for pfn, order in zip(pfns[~single].tolist(), orders[~single].tolist()):
             state[pfn : pfn + (1 << order)] = FrameState.FREE
         self._free_frames += int(np.left_shift(1, orders).sum())
-        if self._c_free is not None:
-            for order, n in enumerate(np.bincount(orders).tolist()):
-                if n:
-                    self._c_free[order].inc(n)
-            tr = self._tracer
-            if tr.active:
-                base = self.pfn_base
-                for pfn, order, mov in zip(pfn_list, order_list, movable_list):
-                    tr.emit("buddy", "free", pfn=pfn + base, order=order, movable=mov)
+        for order, n in enumerate(np.bincount(orders).tolist()):
+            if n:
+                self._c_free[order].inc(n)
+        tr = self._tracer
+        if tr.active:
+            base = self.pfn_base
+            for pfn, order, mov in zip(pfn_list, order_list, movable_list):
+                tr.emit("buddy", "free", pfn=pfn + base, order=order, movable=mov)
         gpfns = pfns + self.pfn_base
         for listener in self._listeners:
             listener.on_free_many(gpfns, orders, movable)
@@ -495,7 +477,7 @@ class BuddyAllocator:
             pfn = min(pfn, buddy)
             order += 1
             merges += 1
-        if merges and self._c_coalesce is not None:
+        if merges:
             self._c_coalesce.inc(merges)
         lists[order].add(pfn)
 

@@ -39,6 +39,7 @@ import numpy as np
 from repro.mem.buddy import AllocationListener, BuddyAllocator, OutOfMemoryError
 from repro.mem.fragmentation import fmfi
 from repro.mem.frames import FrameState, new_frame_array
+from repro.obs import Counter, MetricsRegistry, Observability
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ class NumaBuddyPools:
         max_order: int,
         topology: NumaTopology,
         listeners: tuple[AllocationListener, ...] = (),
-        obs=None,
+        obs: Observability | None = None,
     ) -> None:
         nodes = topology.nodes
         if total_frames % (nodes << max_order):
@@ -108,12 +109,19 @@ class NumaBuddyPools:
         self.max_order = max_order
         self.frames_per_node = total_frames // nodes
         self.frame_state = new_frame_array(total_frames)
+        if obs is None:
+            obs = Observability()
+        # Every pool counts into the one bundle, so the buddy counters are
+        # machine totals exactly as on a flat allocator, and the facade's
+        # aggregate gauge collector, registered after the pools', writes
+        # the final gauge values.
         per = self.frames_per_node
         self.pools: tuple[BuddyAllocator, ...] = tuple(
             BuddyAllocator(
                 per,
                 max_order,
                 listeners=listeners,
+                obs=obs,
                 pfn_base=node * per,
                 frame_state=self.frame_state[node * per : (node + 1) * per],
             )
@@ -123,29 +131,20 @@ class NumaBuddyPools:
         #: :meth:`alloc`; ``System`` points it at the faulting process's
         #: home node for the duration of the fault handler
         self._preferred: int | None = None
-        self._c_local = self._c_remote = None
-        if obs is not None:
-            self._attach_obs(obs)
-
-    # -- observability ---------------------------------------------------
-    def _attach_obs(self, obs) -> None:
-        """Shared machine-wide counters + one aggregate gauge collector.
-
-        Every pool attaches to the same registry, so the buddy counters
-        are machine totals exactly as on a flat allocator; the per-node
-        gauges (and the local/remote placement counters) only exist when
-        the topology actually has more than one node, keeping the
-        single-node registry byte-identical to the flat machine's.
-        """
-        for pool in self.pools:
-            pool.attach_counters(obs)
-        if self.nodes > 1:
+        # The placement counters and per-node gauges are exported only on
+        # more than one node, keeping the single-node registry identical to
+        # the flat machine's; one node counts into unexported counters.
+        if nodes > 1:
             m = obs.metrics
             self._c_local = m.counter("numa_alloc_local_total")
             self._c_remote = m.counter("numa_alloc_remote_total")
+        else:
+            self._c_local = Counter("numa_alloc_local_total", {})
+            self._c_remote = Counter("numa_alloc_remote_total", {})
         obs.metrics.add_collector(self._collect)
 
-    def _collect(self, metrics) -> None:
+    # -- observability ---------------------------------------------------
+    def _collect(self, metrics: MetricsRegistry) -> None:
         metrics.gauge("buddy_free_frames").value = self.free_frames
         for order in range(self.max_order + 1):
             metrics.gauge("buddy_free_blocks", order=order).value = (
@@ -256,11 +255,10 @@ class NumaBuddyPools:
             except OutOfMemoryError as exc:
                 last_oom = exc
                 continue
-            if self._c_local is not None:
-                if preferred is None or candidate == preferred:
-                    self._c_local.inc()
-                else:
-                    self._c_remote.inc()
+            if preferred is None or candidate == preferred:
+                self._c_local.inc()
+            else:
+                self._c_remote.inc()
             return pfn + pool.pfn_base
         raise OutOfMemoryError(
             f"no free block at order >= {order} on any of {self.nodes} nodes"

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import PageGeometry
+from repro.obs import MetricsRegistry, Observability
 
 
 class RegionTracker:
@@ -29,7 +30,10 @@ class RegionTracker:
     """
 
     def __init__(
-        self, total_frames: int, geometry: PageGeometry, obs=None
+        self,
+        total_frames: int,
+        geometry: PageGeometry,
+        obs: Observability | None = None,
     ) -> None:
         fpl = geometry.frames_per_large
         if total_frames % fpl:
@@ -42,12 +46,12 @@ class RegionTracker:
         self.frames_per_region = fpl
         self.free_frames = np.full(self.n_regions, fpl, dtype=np.int64)
         self.unmovable_frames = np.zeros(self.n_regions, dtype=np.int64)
-        self._tracer = None
-        if obs is not None:
-            self._tracer = obs.tracer
-            obs.metrics.add_collector(self._collect)
+        if obs is None:
+            obs = Observability()
+        self._tracer = obs.tracer
+        obs.metrics.add_collector(self._collect)
 
-    def _collect(self, metrics) -> None:
+    def _collect(self, metrics: MetricsRegistry) -> None:
         """Snapshot-time mirror of the O(1) per-region counters."""
         metrics.gauge("regions_fully_free").value = int(
             (self.free_frames == self.frames_per_region).sum()
@@ -126,7 +130,7 @@ class RegionTracker:
         ]
         candidates.sort(key=lambda r: (-self.free_frames[r], r))
         tr = self._tracer
-        if tr is not None and tr.active:
+        if tr.active:
             tr.emit(
                 "regions",
                 "select_sources",
@@ -148,7 +152,7 @@ class RegionTracker:
         ]
         candidates.sort(key=lambda r: (self.free_frames[r], r))
         tr = self._tracer
-        if tr is not None and tr.active:
+        if tr.active:
             tr.emit(
                 "regions",
                 "select_targets",

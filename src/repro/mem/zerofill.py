@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro.config import CostModel, PageGeometry
 from repro.mem.buddy import BuddyAllocator
+from repro.obs import Observability
 
 
 class ZeroFillEngine:
@@ -27,7 +28,7 @@ class ZeroFillEngine:
         geometry: PageGeometry,
         cost: CostModel,
         pool_capacity: int = 2,
-        obs=None,
+        obs: Observability | None = None,
     ) -> None:
         if pool_capacity < 0:
             raise ValueError(f"pool_capacity must be >= 0, got {pool_capacity}")
@@ -42,22 +43,18 @@ class ZeroFillEngine:
         self.pool_hits = 0
         self.pool_misses = 0
         self.blocks_released = 0
-        self._tracer = None
-        self._clock = None
-        self._spans = None
-        self._c_fill = self._c_hit = self._c_miss = None
-        self._c_release = self._c_credit_dropped = self._g_pool = None
-        if obs is not None:
-            m = obs.metrics
-            self._tracer = obs.tracer
-            self._clock = getattr(obs, "clock", None)
-            self._spans = getattr(obs, "spans", None)
-            self._c_fill = m.counter("zerofill_fill_total")
-            self._c_hit = m.counter("zerofill_take_hit_total")
-            self._c_miss = m.counter("zerofill_take_miss_total")
-            self._c_release = m.counter("zerofill_release_total")
-            self._c_credit_dropped = m.counter("zerofill_credit_dropped_ns_total")
-            self._g_pool = m.gauge("zerofill_pool_size")
+        if obs is None:
+            obs = Observability()
+        m = obs.metrics
+        self._tracer = obs.tracer
+        self._clock = obs.clock
+        self._spans = obs.spans
+        self._c_fill = m.counter("zerofill_fill_total")
+        self._c_hit = m.counter("zerofill_take_hit_total")
+        self._c_miss = m.counter("zerofill_take_miss_total")
+        self._c_release = m.counter("zerofill_release_total")
+        self._c_credit_dropped = m.counter("zerofill_credit_dropped_ns_total")
+        self._g_pool = m.gauge("zerofill_pool_size")
 
     @property
     def pool_size(self) -> int:
@@ -66,7 +63,7 @@ class ZeroFillEngine:
     def _drop_credit(self, amount_ns: float) -> None:
         """Surrender accrued zeroing credit (pressure release / no work)."""
         self._progress_ns = 0.0
-        if self._c_credit_dropped is not None and amount_ns > 0.0:
+        if amount_ns > 0.0:
             self._c_credit_dropped.inc(amount_ns)
 
     def take_zeroed(self) -> int | None:
@@ -79,19 +76,17 @@ class ZeroFillEngine:
         if self._pool:
             pfn = self._pool.pop()
             self.pool_hits += 1
-            if self._c_hit is not None:
-                self._c_hit.inc()
-                self._g_pool.value = len(self._pool)
-                tr = self._tracer
-                if tr.active:
-                    tr.emit("zerofill", "take", pfn=pfn, hit=True)
-            return pfn
-        self.pool_misses += 1
-        if self._c_miss is not None:
-            self._c_miss.inc()
+            self._c_hit.inc()
+            self._g_pool.value = len(self._pool)
             tr = self._tracer
             if tr.active:
-                tr.emit("zerofill", "take", hit=False)
+                tr.emit("zerofill", "take", pfn=pfn, hit=True)
+            return pfn
+        self.pool_misses += 1
+        self._c_miss.inc()
+        tr = self._tracer
+        if tr.active:
+            tr.emit("zerofill", "take", hit=False)
         return None
 
     def background_fill(self, budget_ns: float, concurrent: bool = False) -> float:
@@ -125,21 +120,20 @@ class ZeroFillEngine:
             self._pool.append(pfn)
             self.blocks_zeroed += 1
             self._progress_ns -= block_cost
-            if self._c_fill is not None:
-                self._c_fill.inc()
-                self._g_pool.value = len(self._pool)
-                tr = self._tracer
-                if tr.active:
-                    tr.emit("zerofill", "fill", pfn=pfn, cost_ns=block_cost)
+            self._c_fill.inc()
+            self._g_pool.value = len(self._pool)
+            tr = self._tracer
+            if tr.active:
+                tr.emit("zerofill", "fill", pfn=pfn, cost_ns=block_cost)
         if len(self._pool) >= self.pool_capacity:
             spent -= self._progress_ns
             self._progress_ns = 0.0
         spent = max(spent, 0.0)
         self.zero_ns_spent += spent
-        if not concurrent and spent > 0.0 and self._clock is not None:
+        if not concurrent and spent > 0.0:
             self._clock.advance(spent)
             spans = self._spans
-            if spans is not None and spans.enabled:
+            if spans.enabled:
                 spans.record_complete(
                     "zerofill_fill", spent, pool=len(self._pool)
                 )
@@ -156,12 +150,11 @@ class ZeroFillEngine:
         # the large blocks that reclaim freed, defeating the release.
         self._drop_credit(self._progress_ns)
         self.blocks_released += released
-        if self._c_release is not None:
-            self._c_release.inc(released)
-            self._g_pool.value = 0
-            tr = self._tracer
-            if tr.active:
-                tr.emit("zerofill", "release_all", released=released)
+        self._c_release.inc(released)
+        self._g_pool.value = 0
+        tr = self._tracer
+        if tr.active:
+            tr.emit("zerofill", "release_all", released=released)
         return released
 
     # -- latency helpers used by the fault handler -------------------------

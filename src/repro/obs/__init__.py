@@ -1,11 +1,13 @@
 """Observability: metrics registry + tracer + simulated-time timeline.
 
 One :class:`Observability` instance accompanies one simulated machine
-(:class:`repro.sim.system.System` creates its own by default).  The memory
-substrate (buddy, zero-fill, regions, compactors), the OS policies and the
-TLB hierarchy all accept it optionally and instrument themselves when it is
-present; construction without one keeps every component fully functional
-with zero observability overhead.
+(:class:`repro.sim.system.System` creates its own unless one is passed in).
+Every machine component (the buddy allocator and NUMA pools, zero-fill,
+regions, both compactors, the OS policies, the TLB units and the pv
+exchange interface) is always instrumented: it resolves its bundle once at
+construction, the machine's or a fresh one when built standalone, and holds
+direct references to its counters, tracer and clock.  No hot path tests
+whether observation is present; a disabled tracer costs one bool read.
 
 The timeline layer adds a shared simulated-time axis: a :class:`SimClock`
 advanced by cost-bearing operations, a :class:`SpanRecorder` for begin/end

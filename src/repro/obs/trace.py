@@ -7,13 +7,13 @@ subsystem is gated by its own enable flag; with nothing enabled the tracer
 costs one attribute read per *guarded* call site::
 
     tr = self._tracer
-    if tr is not None and tr.active:
+    if tr.active:
         tr.emit("buddy", "alloc", pfn=pfn, order=order)
 
 ``active`` is maintained eagerly by :meth:`enable`/:meth:`disable`, so the
-disabled-path cost is a None check plus a bool read — near-zero, which is
-what lets the instrumentation live permanently in the hot layers (the
-eBPF-mm argument: observability must be cheap enough to never remove).
+disabled-path cost is one bool read — near-zero, which is what lets the
+instrumentation live permanently in the hot layers (the eBPF-mm argument:
+observability must be cheap enough to never remove).
 
 Export is JSONL (one event object per line), the format every trace
 tooling pipeline ingests.

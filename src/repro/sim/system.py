@@ -364,12 +364,12 @@ class System:
     def _fault(self, process: Process, va: int):
         """Fault slow path, bracketed by a ``fault`` span.
 
-        The policy records the fault's latency in ``stats.fault_ns``; leaf
-        sites inside the handler (sync compaction, pv exchanges) may have
-        advanced the clock already, so only the *residual* is advanced here
-        — the span's duration then equals the recorded latency exactly,
-        which is what lets the attribution table reconcile with
-        :meth:`total_fault_ns`.
+        The policy returns the mapping it installed and records the fault's
+        latency in ``stats.fault_ns``; leaf sites inside the handler (sync
+        compaction, pv exchanges) may have advanced the clock already, so
+        only the *residual* is advanced here — the span's duration then
+        equals the recorded latency exactly, which is what lets the
+        attribution table reconcile with :meth:`total_fault_ns`.
         """
         clock = self.obs.clock
         stats = self.policy.stats
@@ -382,10 +382,11 @@ class System:
             self.buddy.set_alloc_preference(process.home_node)
         try:
             with self.obs.spans.span("fault") as sp:
-                self.policy.handle_fault(process, va)
+                mapping = self.policy.handle_fault(process, va)
                 process.faults += 1
-                mapping = process.pagetable.translate(va)
-                assert mapping is not None, f"fault handler left va {va:#x} unmapped"
+                assert 0 <= va - mapping.va < self.geometry.bytes_for(
+                    mapping.page_size
+                ), f"fault handler's mapping does not cover va {va:#x}"
                 latency = stats.fault_ns - fault_ns_before
                 residual = latency - (clock.now_ns - start)
                 if residual > 0.0:

@@ -540,7 +540,7 @@ def _accumulate_misses(
     clock = hierarchy._clock
     h_walk = hierarchy._h_walk
     tracer = hierarchy._tracer
-    trace = tracer is not None and tracer.is_enabled("tlb")
+    trace = tracer.is_enabled("tlb")
     l2c = float(hierarchy.walk_config.l2_tlb_hit_cycles)
     charge = hierarchy.walk_charge
     table = hierarchy.walk_table
@@ -549,14 +549,13 @@ def _accumulate_misses(
     if vectorized:
         miss_cycles = np.array(table)[miss_keys]
         tc_adds = np.where(l2_hit, l2c, miss_cycles + l2c)
-        if clock is not None:
-            clock_adds = (
-                tc_adds
-                if charge == l2c
-                else np.where(l2_hit, l2c, miss_cycles + charge)
-            )
-            end_ns = _seeded_total(clock.now_ns, clock_adds / FREQ_GHZ)
-            vectorized = end_ns < clock.next_due_ns
+        clock_adds = (
+            tc_adds
+            if charge == l2c
+            else np.where(l2_hit, l2c, miss_cycles + charge)
+        )
+        end_ns = _seeded_total(clock.now_ns, clock_adds / FREQ_GHZ)
+        vectorized = end_ns < clock.next_due_ns
     if vectorized:
         walk_mask = ~l2_hit
         walk_sizes = miss_sizes[walk_mask]
@@ -571,27 +570,25 @@ def _accumulate_misses(
             stats.translation_cycles, tc_adds
         )
         stats.walk_cycles = _seeded_total(stats.walk_cycles, walk_adds)
-        if clock is not None:
-            clock.advance_to(end_ns)
-        if h_walk is not None:
-            for s in range(n_levels):
-                k = int(size_counts[s])
-                if not k:
-                    continue
-                # One level may see several walk values (a nested 4KB
-                # entry comes from any (guest, host) pair with a 4KB side).
-                h = h_walk[s]
-                values = walk_adds[walk_sizes == s]
-                buckets = np.bincount(
-                    np.searchsorted(h.bounds, values, side="left"),
-                    minlength=len(h.bucket_counts),
-                )
-                h.bucket_counts[:] = (buckets + h.bucket_counts).tolist()
-                h.count += k
-                h.sum = _seeded_total(h.sum, values)
-                top = float(values.max())
-                if h.max is None or top > h.max:
-                    h.max = top
+        clock.advance_to(end_ns)
+        for s in range(n_levels):
+            k = int(size_counts[s])
+            if not k:
+                continue
+            # One level may see several walk values (a nested 4KB entry
+            # comes from any (guest, host) pair with a 4KB side).
+            h = h_walk[s]
+            values = walk_adds[walk_sizes == s]
+            buckets = np.bincount(
+                np.searchsorted(h.bounds, values, side="left"),
+                minlength=len(h.bucket_counts),
+            )
+            h.bucket_counts[:] = (buckets + h.bucket_counts).tolist()
+            h.count += k
+            h.sum = _seeded_total(h.sum, values)
+            top = float(values.max())
+            if h.max is None or top > h.max:
+                h.max = top
         return
 
     walks_by_size = stats.walks_by_size
@@ -605,8 +602,7 @@ def _accumulate_misses(
         if hit2:
             stats.l2_hits += 1
             stats.translation_cycles += l2c
-            if clock is not None:
-                clock.advance(l2c / FREQ_GHZ)
+            clock.advance(l2c / FREQ_GHZ)
             continue
         size = level_of[key]
         cycles = table[key]
@@ -614,15 +610,13 @@ def _accumulate_misses(
         walks_by_size[size] += 1
         stats.walk_cycles += cycles
         stats.translation_cycles += cycles + l2c
-        if clock is not None:
-            clock.advance((cycles + charge) / FREQ_GHZ)
-        if h_walk is not None:
-            h_walk[size].observe(cycles)
-            if trace:
-                tracer.emit(
-                    "tlb",
-                    "walk",
-                    vpn=int(miss_vpns[k]),
-                    size=hierarchy._labels[size],
-                    cycles=cycles,
-                )
+        clock.advance((cycles + charge) / FREQ_GHZ)
+        h_walk[size].observe(cycles)
+        if trace:
+            tracer.emit(
+                "tlb",
+                "walk",
+                vpn=int(miss_vpns[k]),
+                size=hierarchy._labels[size],
+                cycles=cycles,
+            )

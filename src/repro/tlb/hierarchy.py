@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import FREQ_GHZ, PageGeometry, WalkConfig
+from repro.obs import Observability
 from repro.tlb.tlb import SetAssocTLB
 from repro.vm.pagetable import Mapping
 
@@ -68,7 +69,9 @@ class TLBHierarchy:
     #: walk-latency histogram bucket upper bounds, in cycles
     WALK_BUCKETS = (10, 20, 40, 60, 80, 120, 160, 240, 320, 640)
 
-    def __init__(self, walk: WalkConfig, geometry: PageGeometry, obs=None) -> None:
+    def __init__(
+        self, walk: WalkConfig, geometry: PageGeometry, obs: Observability | None = None
+    ) -> None:
         if any(lvl.tlb is None for lvl in geometry.levels):
             raise ValueError(
                 f"geometry {geometry.name or '/'.join(geometry.labels)} "
@@ -79,20 +82,18 @@ class TLBHierarchy:
         self.walk_config = walk
         self.n_levels = geometry.n_levels
         self._labels = geometry.labels
-        self._tracer = None
-        self._clock = None
-        self._h_walk = None
-        if obs is not None:
-            self._tracer = obs.tracer
-            self._clock = getattr(obs, "clock", None)
-            self._h_walk = {
-                s: obs.metrics.histogram(
-                    "tlb_walk_cycles",
-                    buckets=self.WALK_BUCKETS,
-                    size=self._labels[s],
-                )
-                for s in geometry.all_levels
-            }
+        if obs is None:
+            obs = Observability()
+        self._tracer = obs.tracer
+        self._clock = obs.clock
+        self._h_walk = {
+            s: obs.metrics.histogram(
+                "tlb_walk_cycles",
+                buckets=self.WALK_BUCKETS,
+                size=self._labels[s],
+            )
+            for s in geometry.all_levels
+        }
         self.l1 = {
             level: SetAssocTLB(lvl.tlb.l1)
             for level, lvl in enumerate(geometry.levels)
@@ -147,8 +148,7 @@ class TLBHierarchy:
             self.l1[size].insert(vpn)
             cycles = float(self.walk_config.l2_tlb_hit_cycles)
             stats.translation_cycles += cycles
-            if self._clock is not None:
-                self._clock.advance(cycles / FREQ_GHZ)
+            self._clock.advance(cycles / FREQ_GHZ)
             return cycles
         return None
 
@@ -165,16 +165,14 @@ class TLBHierarchy:
         stats.walks_by_size[size] += 1
         stats.walk_cycles += cycles
         stats.translation_cycles += cycles + self.walk_config.l2_tlb_hit_cycles
-        if self._clock is not None:
-            self._clock.advance((cycles + self.walk_charge) / FREQ_GHZ)
-        if self._h_walk is not None:
-            self._h_walk[size].observe(cycles)
-            tr = self._tracer
-            if tr.active:
-                tr.emit(
-                    "tlb", "walk", vpn=vpn,
-                    size=self._labels[size], cycles=cycles,
-                )
+        self._clock.advance((cycles + self.walk_charge) / FREQ_GHZ)
+        self._h_walk[size].observe(cycles)
+        tr = self._tracer
+        if tr.active:
+            tr.emit(
+                "tlb", "walk", vpn=vpn,
+                size=self._labels[size], cycles=cycles,
+            )
         self._l2_by_level[size].insert(vpn)
         self.l1[size].insert(vpn)
 

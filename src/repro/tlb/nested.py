@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import PageGeometry, WalkConfig
+from repro.obs import Observability
 from repro.tlb.hierarchy import TLBHierarchy
 from repro.vm.pagetable import Mapping, PageTable
 
@@ -34,7 +35,7 @@ class NestedTranslationUnit(TLBHierarchy):
         geometry: PageGeometry,
         host_table: PageTable,
         hva_base: int = 0,
-        obs=None,
+        obs: Observability | None = None,
     ) -> None:
         super().__init__(walk, geometry, obs=obs)
         self.walk_table = walk.nested_table(geometry)

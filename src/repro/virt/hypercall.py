@@ -10,6 +10,7 @@ costs ~30 ms total.
 from __future__ import annotations
 
 from repro.config import CostModel
+from repro.obs import Observability
 from repro.virt.hypervisor import Hypervisor
 
 
@@ -20,15 +21,17 @@ class PVExchangeInterface:
     BATCH_CAPACITY = 512
 
     def __init__(
-        self, hypervisor: Hypervisor, cost: CostModel, obs=None
+        self, hypervisor: Hypervisor, cost: CostModel, obs: Observability | None = None
     ) -> None:
         self.hypervisor = hypervisor
         self.cost = cost
         self.hypercalls = 0
         self.exchanges = 0
         self.time_ns = 0.0
-        self._clock = getattr(obs, "clock", None) if obs is not None else None
-        self._spans = getattr(obs, "spans", None) if obs is not None else None
+        if obs is None:
+            obs = Observability()
+        self._clock = obs.clock
+        self._spans = obs.spans
 
     def exchange(
         self, pairs: list[tuple[int, int, int]], batched: bool = True
@@ -52,13 +55,13 @@ class PVExchangeInterface:
             spent = count * (self.cost.hypercall_ns + self.cost.exchange_unbatched_ns)
         self.hypercalls += calls
         self.time_ns += spent
-        if self._clock is not None and spent > 0.0:
+        if spent > 0.0:
             # Leaf site on the simulated-time axis: callers (compaction,
             # pv promotion) account this ns inside their own totals and
             # advance only their residual on top.
             self._clock.advance(spent)
             spans = self._spans
-            if spans is not None and spans.enabled:
+            if spans.enabled:
                 spans.record_complete(
                     "pv_exchange", spent, calls=calls, pairs=count
                 )

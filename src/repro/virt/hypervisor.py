@@ -55,7 +55,10 @@ class Hypervisor:
 
     # -- EPT faults ---------------------------------------------------------
     def ensure_backed(self, gpa: int) -> float:
-        """Back the gPA with host memory if needed; returns fault ns (0 if hit).
+        """Back the gPA with host memory if needed; returns the fault ns.
+
+        The ns are what the host policy's ``fault_ns`` grew by: 0.0 when
+        the gPA was backed already.
 
         Every call records the backing page as touched in the host's view:
         guest accesses ARE host-memory accesses, and host-side policies that
@@ -66,9 +69,11 @@ class Hypervisor:
         self.vm_process.record_touch(hva)
         if self.host_table.translate(hva) is not None:
             return 0.0
-        latency = self.host.policy.handle_fault(self.vm_process, hva)
+        stats = self.host.policy.stats
+        before = stats.fault_ns
+        self.host.policy.handle_fault(self.vm_process, hva)
         self.ept_faults += 1
-        return latency
+        return stats.fault_ns - before
 
     # -- the Trident-pv exchange hypercall -------------------------------------
     def exchange_ranges(self, pairs: list[tuple[int, int, int]]) -> int:

@@ -129,10 +129,7 @@ class GuestSystem(System):
         fault — are re-charged here as an ``ept_fault`` span on the
         guest's timeline.
         """
-        host_stats = self.hypervisor.host.policy.stats
-        before = host_stats.fault_ns
-        self.hypervisor.ensure_backed(gpa)
-        ept_ns = host_stats.fault_ns - before
+        ept_ns = self.hypervisor.ensure_backed(gpa)
         if ept_ns > 0.0:
             self.obs.clock.advance(ept_ns)
             spans = self.obs.spans

@@ -150,8 +150,13 @@ def zipf(
     ranks = zipf_draws(rng, alpha, n) - 1
     ranks %= blocks
     perm = rng.permutation(blocks)
-    offsets = rng.integers(0, granule, n, dtype=np.int64)
-    return base + perm[ranks] * granule + offsets
+    # Built in place, so at most two stream-sized arrays are alive at once.
+    addrs = perm[ranks]
+    del ranks
+    addrs *= granule
+    addrs += rng.integers(0, granule, n, dtype=np.int64)
+    addrs += base
+    return addrs
 
 
 def sequential(base: int, size: int, n: int, stride: int = 64) -> np.ndarray:
