@@ -109,7 +109,10 @@ class BuddyAllocator:
     """Buddy allocator over ``total_frames`` base frames.
 
     ``max_order`` is the largest tracked order; Trident configures it to the
-    geometry's large order (1GB), stock Linux to 10 (4MB).
+    geometry's large order (1GB), stock Linux to 10 (4MB).  Given a
+    ``frame_state`` view of a larger machine's array, the allocator is one
+    node pool of :class:`repro.mem.numa.NumaBuddyPools`, whose aggregate
+    collector writes the buddy gauges.
     """
 
     def __init__(
@@ -134,6 +137,7 @@ class BuddyAllocator:
         #: lets :class:`repro.mem.numa.NumaBuddyPools` run each node's
         #: allocator in local pfn space while observers see global pfns
         self.pfn_base = pfn_base
+        node_pool = frame_state is not None
         if frame_state is None:
             frame_state = new_frame_array(total_frames)
         elif len(frame_state) != total_frames:
@@ -162,9 +166,10 @@ class BuddyAllocator:
         self._c_coalesce = m.counter("buddy_coalesce_total")
         # The free-list-depth and free-frame gauges are collector-mirrored:
         # copied at snapshot time, so alloc/free carry no gauge writes.  A
-        # collector registered later (the NUMA facade's aggregate) writes
-        # the final values.
-        m.add_collector(self._collect)
+        # node pool leaves them to its machine's aggregate collector, the
+        # one that writes them (NumaBuddyPools).
+        if not node_pool:
+            m.add_collector(self._collect)
         top = 1 << max_order
         for start in range(0, total_frames, top):
             self._free_lists[max_order].add(start)

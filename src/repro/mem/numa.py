@@ -112,9 +112,9 @@ class NumaBuddyPools:
         if obs is None:
             obs = Observability()
         # Every pool counts into the one bundle, so the buddy counters are
-        # machine totals exactly as on a flat allocator, and the facade's
-        # aggregate gauge collector, registered after the pools', writes
-        # the final gauge values.
+        # machine totals exactly as on a flat allocator.  The pools run
+        # over views of one frame-state array, so they register no gauge
+        # collector: the facade's aggregate one writes the buddy gauges.
         per = self.frames_per_node
         self.pools: tuple[BuddyAllocator, ...] = tuple(
             BuddyAllocator(

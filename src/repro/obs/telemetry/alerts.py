@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import parse_key
 from repro.obs.telemetry.windows import FrameAggregator
 
 #: rule-kind names accepted in a rule file
@@ -222,12 +221,13 @@ class AlertEngine:
         sections = ("counters", "gauges", "histograms")
         if any(metric in snapshot.get(s, {}) for s in sections):
             return [metric]
-        matches = []
-        for section in sections:
-            for key in snapshot.get(section, {}):
-                if parse_key(key)[0] == metric:
-                    matches.append(key)
-        return sorted(matches)
+        family_keys = self.aggregator.family_keys
+        return sorted(
+            key
+            for section in sections
+            for key in family_keys(section, metric)
+            if key in snapshot.get(section, {})
+        )
 
     def _burn_value(self, rule: AlertRule) -> float:
         """min(fast, slow) burn rate — breaches only when both do."""
@@ -253,9 +253,8 @@ class AlertEngine:
         if metric in agg.counters or metric in agg.gauges:
             return agg.delta(metric, window_ns)
         total = 0.0
-        for key in sorted(agg.counters):
-            if parse_key(key)[0] == metric:
-                total += agg.delta(key, window_ns)
+        for key in agg.family_keys("counters", metric):
+            total += agg.delta(key, window_ns)
         return total
 
     def _threshold_value(self, rule: AlertRule, key: str) -> float:

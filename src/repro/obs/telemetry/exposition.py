@@ -15,7 +15,8 @@ Three consumers share the renderer:
   simulated-time interval to a :class:`ScrapeFileSink`.  Frames are a
   pure function of the metric stream, so a seeded run emits
   byte-identical frames at any ``--jobs`` count (the file-sink mode CI
-  byte-compares).
+  byte-compares).  The scraper keeps one :class:`ExpositionRenderer`,
+  so each series' text is derived once per stream.
 * the live HTTP endpoint (:mod:`repro.obs.telemetry.endpoint`) — serves
   the newest frame to real scrapers while a fleet runs.
 * ``repro metrics FILE --format prom`` — renders an existing
@@ -86,6 +87,14 @@ def _escape_help(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\n", "\\n")
 
 
+#: snapshot section -> exposition family type, in rendering order
+_SECTION_TYPES = {
+    "counters": "counter",
+    "gauges": "gauge",
+    "histograms": "histogram",
+}
+
+
 def render_exposition(
     snapshot: dict, catalog: Iterable[tuple] | None = None
 ) -> str:
@@ -96,71 +105,127 @@ def render_exposition(
     emitted in sorted name order, series in sorted key order, so the text
     is a pure function of the snapshot.
     """
-    help_text = _help_index(catalog)
-    lines: list[str] = []
-    families: dict[str, list[tuple[str, dict, object]]] = {}
-    kinds: dict[str, str] = {}
-    for kind in ("counters", "gauges", "histograms"):
-        for key in sorted(snapshot.get(kind, {})):
-            name, labels = parse_key(key)
-            if name in kinds and kinds[name] != kind:
-                raise ValueError(
-                    f"metric family {name!r} appears as both {kinds[name]} "
-                    f"and {kind}"
-                )
-            kinds[name] = kind
-            families.setdefault(name, []).append(
-                (key, labels, snapshot[kind][key])
-            )
-    for name in sorted(families):
-        kind = {
-            "counters": "counter",
-            "gauges": "gauge",
-            "histograms": "histogram",
-        }[kinds[name]]
-        if name in help_text:
-            lines.append(f"# HELP {name} {_escape_help(help_text[name])}")
-        lines.append(f"# TYPE {name} {kind}")
-        for _, labels, value in families[name]:
-            if kind == "histogram":
-                lines.extend(_render_histogram(name, labels, value))
-            else:
-                lines.append(
-                    f"{name}{_render_labels(labels)} "
-                    f"{format_value(value)}"  # type: ignore[arg-type]
-                )
-    return "\n".join(lines) + "\n" if lines else ""
+    return ExpositionRenderer(catalog).render(snapshot)
 
 
-def _render_histogram(name: str, labels: dict, export: dict) -> list[str]:
-    """Cumulative ``_bucket``/``_sum``/``_count`` lines for one series.
+class _HistogramText:
+    """One histogram series' line prefixes, for one set of bucket bounds."""
 
-    The registry's export carries per-bucket (non-cumulative) counts and
-    a *running* ``sum`` maintained at observe time, so nothing here is
-    re-derived from bucket midpoints.
+    __slots__ = ("bounds", "buckets", "sum", "count")
+
+    def __init__(self, key: str, bounds: tuple) -> None:
+        from math import inf
+
+        name, labels = parse_key(key)
+        #: the export's bucket keys, in the order the export lists them
+        self.bounds = bounds
+        #: (bucket key, ``_bucket{...,le=...}`` prefix) in bound order
+        self.buckets: list[tuple[str, str]] = []
+        for bound in sorted(
+            bounds, key=lambda b: inf if b == "+Inf" else float(b)
+        ):
+            le = bound if bound == "+Inf" else format_value(float(bound))
+            block = _render_labels(labels, (("le", le),))
+            self.buckets.append((bound, f"{name}_bucket{block} "))
+        self.sum = f"{name}_sum{_render_labels(labels)} "
+        self.count = f"{name}_count{_render_labels(labels)} "
+
+
+class ExpositionRenderer:
+    """Renders snapshots, deriving each series' text once per flat key.
+
+    A series' text is its family name and ``{label="..."}`` block and, for
+    a histogram, its ``_bucket{...,le=...}`` prefixes in bound order plus
+    its ``_sum``/``_count`` prefixes: a pure function of the key (and of a
+    histogram's bucket bounds, compared on every frame).  While snapshots
+    hold the same series, a frame formats only the values.  A
+    :class:`TelemetryScraper` keeps one renderer for its stream, so the
+    cache holds one entry per series its registry has shown and lives as
+    long as the scraper.
     """
-    from math import inf
 
-    bounds = sorted(
-        export["buckets"].items(),
-        key=lambda kv: inf if kv[0] == "+Inf" else float(kv[0]),
-    )
-    lines = []
-    cumulative = 0
-    for bound, count in bounds:
-        cumulative += count
-        le = bound if bound == "+Inf" else format_value(float(bound))
-        lines.append(
-            f"{name}_bucket{_render_labels(labels, (('le', le),))} "
-            f"{cumulative}"
+    def __init__(self, catalog: Iterable[tuple] | None = None) -> None:
+        self._help = _help_index(catalog)
+        #: flat key -> (family name, ``name{labels} `` line prefix)
+        self._series: dict[str, tuple[str, str]] = {}
+        self._histograms: dict[str, _HistogramText] = {}
+        #: the sorted keys per section that ``_layout`` was built for
+        self._keys: tuple | None = None
+        #: (header lines, section, entries) per family in output order; an
+        #: entry is (key, line prefix), or the key alone for a histogram
+        self._layout: list[tuple[str, str, list]] = []
+
+    def render(self, snapshot: dict) -> str:
+        keys = tuple(
+            tuple(sorted(snapshot.get(section, {})))
+            for section in _SECTION_TYPES
         )
-    lines.append(
-        f"{name}_sum{_render_labels(labels)} {format_value(export['sum'])}"
-    )
-    lines.append(
-        f"{name}_count{_render_labels(labels)} {format_value(export['count'])}"
-    )
-    return lines
+        if keys != self._keys:
+            self._layout = self._build_layout(keys)
+            self._keys = keys
+        lines: list[str] = []
+        append = lines.append
+        for header, section, entries in self._layout:
+            append(header)
+            values = snapshot[section]
+            if section == "histograms":
+                for key in entries:
+                    self._histogram_lines(key, values[key], append)
+            else:
+                for key, prefix in entries:
+                    append(prefix + format_value(values[key]))
+        return "\n".join(lines) + "\n" if lines else ""
+
+    def _histogram_lines(self, key: str, export: dict, append) -> None:
+        """Cumulative ``_bucket``/``_sum``/``_count`` lines for one series.
+
+        The registry's export carries per-bucket (non-cumulative) counts
+        and a *running* ``sum`` maintained at observe time, so nothing
+        here is re-derived from bucket midpoints.
+        """
+        buckets = export["buckets"]
+        bounds = tuple(buckets)
+        text = self._histograms.get(key)
+        if text is None or text.bounds != bounds:
+            text = self._histograms[key] = _HistogramText(key, bounds)
+        cumulative = 0
+        for bound, prefix in text.buckets:
+            cumulative += buckets[bound]
+            append(f"{prefix}{cumulative}")
+        append(text.sum + format_value(export["sum"]))
+        append(text.count + format_value(export["count"]))
+
+    def _build_layout(self, keys: tuple) -> list[tuple[str, str, list]]:
+        """Group the series into families, in output order."""
+        families: dict[str, list] = {}
+        sections: dict[str, str] = {}
+        for section, section_keys in zip(_SECTION_TYPES, keys):
+            for key in section_keys:
+                series = self._series.get(key)
+                if series is None:
+                    name, labels = parse_key(key)
+                    series = self._series[key] = (
+                        name,
+                        f"{name}{_render_labels(labels)} ",
+                    )
+                name, prefix = series
+                if sections.setdefault(name, section) != section:
+                    raise ValueError(
+                        f"metric family {name!r} appears as both "
+                        f"{sections[name]} and {section}"
+                    )
+                families.setdefault(name, []).append(
+                    key if section == "histograms" else (key, prefix)
+                )
+        layout = []
+        for name in sorted(families):
+            header = f"# TYPE {name} {_SECTION_TYPES[sections[name]]}"
+            if name in self._help:
+                header = (
+                    f"# HELP {name} {_escape_help(self._help[name])}\n{header}"
+                )
+            layout.append((header, sections[name], families[name]))
+        return layout
 
 
 # -- parsing (the strict inverse) -------------------------------------------
@@ -346,14 +411,20 @@ def render_frame(
     seq: int,
     ts_ms: float,
     catalog: Iterable[tuple] | None = None,
+    *,
+    renderer: ExpositionRenderer | None = None,
 ) -> str:
     """One self-delimiting scrape frame: header, exposition body, ``# EOF``.
 
     The header comment carries the frame sequence number and the
     *simulated* timestamp — the only timestamps the deterministic
-    pipeline ever exposes.
+    pipeline ever exposes.  A scraper passes its ``renderer`` (built
+    over its catalog), which keeps each series' text across frames;
+    without one, the body is ``render_exposition(snapshot, catalog)``.
     """
-    body = render_exposition(snapshot, catalog)
+    if renderer is None:
+        renderer = ExpositionRenderer(catalog)
+    body = renderer.render(snapshot)
     return (
         f"# scrape seq={seq} sim_ms={format_value(round(ts_ms, 6))}\n"
         + body
@@ -430,7 +501,8 @@ class TelemetryScraper:
     simulated time, snapshot the registry, render one frame into the
     sink, and hand the snapshot to the alert engine when one is wired.
     Attached after the machine's sampler, it fires after it at a shared
-    instant, so a frame counts that instant's sample.
+    instant, so a frame counts that instant's sample.  Its ``renderer``
+    keeps each series' text across the stream's frames.
     Everything is driven by the simulated clock — a seeded run scrapes
     at identical instants regardless of host scheduling, which is what
     makes frame streams byte-comparable across ``--jobs``.
@@ -450,7 +522,7 @@ class TelemetryScraper:
         self.registry = registry
         self.sink = sink
         self.interval_ns = interval_ns(interval_ms)
-        self.catalog = catalog
+        self.renderer = ExpositionRenderer(catalog)
         self.alert_engine = alert_engine
         self.on_frame = on_frame
         self.frames = 0
@@ -472,7 +544,9 @@ class TelemetryScraper:
             self.alert_engine.evaluate(ts_ns, snapshot)
             # Alert-state metrics must appear in the frame they changed in.
             snapshot = self.registry.snapshot()
-        frame = render_frame(snapshot, self.frames, ts_ns / 1e6, self.catalog)
+        frame = render_frame(
+            snapshot, self.frames, ts_ns / 1e6, renderer=self.renderer
+        )
         self.sink.emit(frame)
         if self.on_frame is not None:
             self.on_frame(self.frames, ts_ns / 1e6, frame)

@@ -24,7 +24,9 @@ reads stay byte-identical across repeat runs.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
+
+from repro.obs.metrics import parse_key
 
 
 def merge_histogram_exports(exports: list) -> dict:
@@ -232,6 +234,11 @@ class FrameAggregator:
         self.counters: dict[str, WindowSeries] = {}
         self.gauges: dict[str, WindowSeries] = {}
         self.histograms: dict[str, HistogramWindow] = {}
+        #: section -> family name -> the section's keys of that family,
+        #: sorted; extended when a series first appears
+        self._families: dict[str, dict[str, list[str]]] = {
+            "counters": {}, "gauges": {}, "histograms": {}
+        }
         self.frames = 0
         self.last_ts_ns = 0.0
 
@@ -245,6 +252,7 @@ class FrameAggregator:
                 series = self.counters[key] = WindowSeries(
                     self.horizon_ns, self.max_samples
                 )
+                self._index("counters", key)
             series.observe(ts_ns, snapshot["counters"][key])
         for key in sorted(snapshot.get("gauges", {})):
             series = self.gauges.get(key)
@@ -252,6 +260,7 @@ class FrameAggregator:
                 series = self.gauges[key] = WindowSeries(
                     self.horizon_ns, self.max_samples
                 )
+                self._index("gauges", key)
             series.observe(ts_ns, snapshot["gauges"][key])
         for key in sorted(snapshot.get("histograms", {})):
             window = self.histograms.get(key)
@@ -259,7 +268,15 @@ class FrameAggregator:
                 window = self.histograms[key] = HistogramWindow(
                     self.horizon_ns, max(4, self.max_samples // 4)
                 )
+                self._index("histograms", key)
             window.observe(ts_ns, snapshot["histograms"][key])
+
+    def _index(self, section: str, key: str) -> None:
+        insort(self._families[section].setdefault(parse_key(key)[0], []), key)
+
+    def family_keys(self, section: str, family: str) -> list[str]:
+        """Every series of ``family`` seen in ``section``, in key order."""
+        return self._families[section].get(family, [])
 
     # -- queries ------------------------------------------------------------
     def value(self, key: str) -> float | None:

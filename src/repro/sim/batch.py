@@ -22,11 +22,13 @@ per distinct VPN (``distinct_values``) instead of once per access, and the TLB
 hierarchy is simulated by the vectorized reuse-distance kernel in
 :mod:`repro.tlb.batch`, which charges each access's walk by its *walk key*
 (the leaf level natively, the (guest, host) level pair under nesting).
-Fault-dense stretches of the stream run through ``System.touch`` instead:
-there a segment's fixed cost outweighs the accesses it serves.  The engine
-is counter-for-counter identical to a scalar ``touch`` loop — including
-float accumulation order in ``TranslationStats`` and ``SimClock`` — which
-the equivalence suites in ``tests/sim/test_batch_equivalence.py`` and
+Fault-dense stretches of the stream, and stretches too short to pay for a
+segment (a short call, or the room left before the daemon cadence), run
+through ``System.touch`` instead: there a segment's fixed cost outweighs
+the accesses it serves.  The engine is counter-for-counter identical to a
+scalar ``touch`` loop — including float accumulation order in
+``TranslationStats`` and ``SimClock`` — which the equivalence suites in
+``tests/sim/test_batch_equivalence.py`` and
 ``tests/virt/test_virt.py`` lock down.
 """
 
@@ -86,14 +88,18 @@ _MAX_WINDOW = 65536
 
 #: a segment cut within its first ``_SHORT_SEGMENT`` accesses runs its
 #: prefix, the access that cut it and the next ``_SCALAR_STRETCH`` accesses
-#: through the scalar ``System.touch``.  Both paths are exact, so any mix of
+#: through the scalar ``System.touch``, and a stretch shorter than
+#: ``_SHORT_SEGMENT`` (the end of a call, or the room left before the daemon
+#: cadence) never opens a segment.  Both paths are exact, so any mix of
 #: them is too.  Break-even, measured on a 2-vCPU Xeon with numpy 2.4
 #: (warm Trident and 4KB machines, native and nested): a segment of 8-32
 #: accesses costs 0.47-1.2 ms, a scalar access 5-12 us, and the two meet
 #: between 80 and 130 accesses, so a cut within 32 marks a stream where
 #: scalar is cheaper on every configuration.  A probe cut that early costs
 #: only its translation, 0.1-0.25 ms, under 5% of a 1024-access stretch;
-#: a stream that turns fault-free loses at most one stretch, 5-12 ms.
+#: a stream that turns fault-free loses at most one stretch, 5-12 ms.  A
+#: warm whole call breaks even between 32 and 64 accesses on the same
+#: machines, so a stretch under 32 is cheaper scalar there too.
 _SHORT_SEGMENT = 32
 _SCALAR_STRETCH = 1024
 
@@ -158,6 +164,11 @@ class BatchEngine:
                 system.daemon_period_accesses - system._accesses_since_daemon,
             )
             end = min(n, i + min(room, self._window))
+            if end - i < _SHORT_SEGMENT:
+                # Too short to pay for a segment: the call ends or the
+                # daemons are due within it.
+                self._scalar_left = end - i
+                continue
             seg = system._batch_segment(process, vas[i:end])
             cut = seg.cut
             if cut is not None and cut < _SHORT_SEGMENT:
@@ -183,7 +194,7 @@ class BatchEngine:
                 i += 1
             system._run_due_daemons()
 
-    # trd: scalar-fallback[fault-dense stretch: vectorized costs more there]
+    # trd: scalar-fallback[fault-dense or short stretch: vectorized costs more there]
     def _scalar_stretch(self, process, vas: np.ndarray, i: int) -> int:
         """Run the next stretch accesses through ``System._touch``."""
         stop = min(len(vas), i + self._scalar_left)

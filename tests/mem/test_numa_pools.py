@@ -192,6 +192,14 @@ class TestObservability:
         pools.free(0)
         assert obs_flat.metrics.snapshot() == obs_numa.metrics.snapshot()
 
+    def test_only_the_facade_collects_the_buddy_gauges(self):
+        """The pools' own gauge collectors would only be overwritten."""
+        obs = Observability()
+        pools = make_pools(obs=obs)
+        owners = [getattr(fn, "__self__", None) for fn in obs.metrics._collectors]
+        assert pools in owners
+        assert not any(pool in owners for pool in pools.pools)
+
     def test_local_remote_counters_track_placement(self):
         obs = Observability()
         pools = make_pools(obs=obs)

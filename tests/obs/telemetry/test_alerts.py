@@ -186,6 +186,32 @@ class TestBurnRateEngine:
             engine.evaluate((frame + 1) * 1e6, snapshot)
         assert [t["state"] for t in engine.transitions] == ["firing"]
 
+    def test_family_series_appearing_later_enter_the_sum(self):
+        engine = self._engine()
+        # The family's second series appears at frame 3 and carries every
+        # error from then on: the alert fires only if the sum sees it.
+        requests = errors = 0.0
+        for frame in range(1, 9):
+            requests += 100.0
+            counters = {
+                "requests_total{policy=Trident}": requests,
+                "errors_total{policy=Trident}": 0.0,
+            }
+            if frame >= 3:
+                errors += 80.0
+                counters["errors_total{policy=Linux}"] = errors
+            engine.evaluate(
+                frame * 1e6,
+                {"counters": counters, "gauges": {}, "histograms": {}},
+            )
+        agg = engine.aggregator
+        assert agg.family_keys("counters", "errors_total") == [
+            "errors_total{policy=Linux}",
+            "errors_total{policy=Trident}",
+        ]
+        assert engine._family_delta("errors_total", 2e6) == 160.0
+        assert [t["state"] for t in engine.transitions] == ["firing"]
+
     def test_zero_denominator_is_zero_burn(self):
         engine = self._engine()
         for frame in range(6):
@@ -231,6 +257,20 @@ class TestThresholdEngine:
         ]
         assert engine.active() == [
             {"rule": "depth", "series": "node_depth{node=0}"}
+        ]
+
+    def test_family_series_appearing_later_are_matched(self):
+        engine = self._engine(metric="node_depth")
+        for frame in range(6):
+            gauges = {"node_depth{node=1}": 1.0}
+            if frame >= 2:
+                gauges["node_depth{node=0}"] = 9.0
+            engine.evaluate(
+                (frame + 1) * 1e6,
+                {"counters": {}, "gauges": gauges, "histograms": {}},
+            )
+        assert [(t["series"], t["state"]) for t in engine.transitions] == [
+            ("node_depth{node=0}", "firing")
         ]
 
     def test_exact_series_key_matches_directly(self):

@@ -4,8 +4,10 @@ import pytest
 
 from repro.obs.clock import SimClock
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry.alerts import AlertEngine, parse_alert_rules
 from repro.obs.telemetry.exposition import (
     FRAME_TERMINATOR,
+    ExpositionRenderer,
     ScrapeFileSink,
     TelemetryScraper,
     format_value,
@@ -256,3 +258,103 @@ class TestScraper:
         sink.emit("# scrape seq=1 sim_ms=0\n# EOF\n")
         sink.close()
         assert "stale" not in path.read_text()
+
+
+class _ListSink:
+    def __init__(self) -> None:
+        self.frames: list[str] = []
+
+    def emit(self, frame_text: str) -> None:
+        self.frames.append(frame_text)
+
+    def close(self) -> None:
+        pass
+
+
+class TestRendererCache:
+    """A renderer reused across frames renders what a fresh one does."""
+
+    def test_frames_equal_fresh_renders_as_series_appear(self):
+        clock = SimClock()
+        reg = MetricsRegistry()
+        engine = AlertEngine(
+            parse_alert_rules(
+                {
+                    "rules": [
+                        {
+                            "name": "depth",
+                            "kind": "threshold",
+                            "metric": "queue_depth",
+                            "op": ">=",
+                            "value": 8.0,
+                            "for_frames": 1,
+                        }
+                    ]
+                }
+            ),
+            metrics=reg,
+        )
+        sink = _ListSink()
+        scraper = TelemetryScraper(
+            clock, reg, sink, interval_ms=1.0, alert_engine=engine
+        )
+        fresh = []
+        steps = [
+            # a plain counter and a gauge
+            lambda: reg.counter("requests_total", policy="Trident").inc(3),
+            # a new label set of the same family
+            lambda: reg.counter("requests_total", policy="Linux").inc(2),
+            # the alert's first transition registers its counter
+            lambda: reg.gauge("queue_depth").set(9.0),
+            # a histogram, then a second series of it with other bounds
+            lambda: reg.histogram("latency_ns", buckets=(10, 100)).observe(50),
+            lambda: reg.histogram(
+                "latency_ns", buckets=(0.5, 2.5, 1e3), policy="Linux"
+            ).observe(2.0),
+            lambda: reg.counter("requests_total", policy="Linux").inc(0.25),
+        ]
+        reg.gauge("queue_depth").set(1.0)
+        for step in steps:
+            step()
+            clock.advance(1e6)
+            fresh.append(
+                render_frame(reg.snapshot(), scraper.frames, clock.now_ns / 1e6)
+            )
+        assert sink.frames == fresh
+        text = sink.frames[-1]
+        assert 'alert_transitions_total{rule="depth"} 1' in text
+        assert 'latency_ns_bucket{policy="Linux",le="2.5"} 1' in text
+        assert 'requests_total{policy="Linux"} 2.25' in text
+        for frame in sink.frames:
+            validate_exposition(frame)
+
+    def test_bounds_are_checked_on_every_render(self):
+        renderer = ExpositionRenderer(catalog=())
+        histogram = {"count": 1, "sum": 5.0}
+        snapshots = [
+            {"histograms": {"h": {**histogram, "buckets": {"10": 1, "+Inf": 0}}}},
+            # a metrics.json snapshot: bucket keys in string order
+            {
+                "histograms": {
+                    "h": {
+                        **histogram,
+                        "buckets": {"+Inf": 0, "100": 0, "20": 1},
+                    }
+                }
+            },
+            {"histograms": {"h": {**histogram, "buckets": {"10": 1, "+Inf": 0}}}},
+        ]
+        for snapshot in snapshots:
+            assert renderer.render(snapshot) == render_exposition(snapshot, ())
+        assert 'h_bucket{le="20"} 1' in renderer.render(snapshots[1])
+
+    def test_kind_conflict_raises_after_a_clean_frame(self):
+        renderer = ExpositionRenderer(catalog=())
+        assert renderer.render({"counters": {"a": 1}}) == (
+            "# TYPE a counter\na 1\n"
+        )
+        with pytest.raises(ValueError, match="both counters and gauges"):
+            renderer.render({"counters": {"a": 1}, "gauges": {"a{x=1}": 2}})
+        assert renderer.render({"counters": {"a": 2}}) == (
+            "# TYPE a counter\na 2\n"
+        )

@@ -25,6 +25,7 @@ from repro.obs.telemetry import TelemetryScraper
 from repro.sim.batch import BatchResult, TouchResult
 from repro.sim.bench import state_fingerprint
 from repro.sim.system import System
+from repro.virt.machine import VirtualMachine
 from repro.workloads.access import zipf
 
 BASE, MID, LARGE = 0, 1, 2  # three-tier level indices (x86-shaped test geometry)
@@ -207,6 +208,60 @@ def test_first_touch_pass_runs_scalar_stretches(policy):
     assert_fingerprints_equal(batch_fp, scalar_fp)
     assert spy.stretch_touches > 0
     assert spy.stretch_daemons > 0
+
+
+@pytest.mark.parametrize("machine", ["native", "guest"])
+@pytest.mark.parametrize("call", [1, 16, 31, 32, 33, 64])
+def test_call_size_equivalence(machine, call):
+    """A stream cut into calls of ``call`` accesses, around
+    ``_SHORT_SEGMENT``: shorter calls never open a segment, longer ones
+    do, and a 333-access daemon cadence leaves short rooms inside them.
+    Mid pages over a 4-large-page footprint give faults while the stream
+    is cold and walks once it is warm."""
+
+    def run(batched: bool):
+        if machine == "native":
+            system = System(default_machine(16), THPPolicy, seed=5)
+            process = system.create_process()
+        else:
+            vm = VirtualMachine(
+                default_machine(12),
+                default_machine(18),
+                THPPolicy,
+                TridentPolicy,
+                seed=2,
+            )
+            system = vm.guest
+            process = vm.create_guest_process("g")
+        system.daemon_period_accesses = 333
+        system.batch_hot_path = batched
+        footprint = 4 * system.geometry.large_size
+        base = system.sys_mmap(process, footprint)
+        segments = 0
+        segment = system._batch_segment
+
+        def counting_segment(process, vas):
+            nonlocal segments
+            segments += 1
+            return segment(process, vas)
+
+        system._batch_segment = counting_segment
+        stream = zipf(np.random.default_rng(42), base, footprint, 8000)
+        results = [
+            system.touch_batch(process, stream[i : i + call])
+            for i in range(0, len(stream), call)
+        ]
+        state = state_fingerprint(system, process)
+        if machine == "guest":
+            state["host"] = (vm.host.obs.clock.now_ns, vm.hypervisor.ept_faults)
+        return state, results, segments
+
+    batch_fp, batch_results, segments = run(batched=True)
+    scalar_fp, scalar_results, _ = run(batched=False)
+    assert_fingerprints_equal(batch_fp, scalar_fp)
+    assert batch_results == scalar_results
+    assert (segments == 0) == (call < sim_batch._SHORT_SEGMENT)
+    assert batch_fp["walks"] > 0 and batch_fp["faults"] > 0
 
 
 def test_batch_result_matches_stats_delta():
